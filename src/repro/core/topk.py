@@ -17,11 +17,13 @@ import numpy as np
 
 from repro import observability as obs
 from repro.algorithms.base import TopKResult, validate_topk_args
-from repro.algorithms.registry import create, create_for_node
+from repro.algorithms.registry import create, list_algorithms
 from repro.core.planner import TopKPlanner
 from repro.costmodel.base import UNIFORM_FLOAT, WorkloadProfile
-from repro.errors import InvalidParameterError, ResourceExhaustedError
+from repro.errors import InvalidParameterError
 from repro.gpu.device import DeviceSpec, get_device
+from repro.plan import Fallback, TopK
+from repro.plan.walker import FailurePolicy, walk
 
 
 def _order_reversed(values: np.ndarray) -> np.ndarray:
@@ -98,40 +100,20 @@ def topk(
                 recall_target=recall_target,
             )
             span.set(plan_fingerprint=plan.fingerprint())
-            # Walk the plan tree's explicit Fallback alternatives: each
-            # operator node (TopK or ApproxTopK, configuration included)
-            # resolves to its kernel through the registry's node dispatch.
-            attempts = [
-                (getattr(node, "algorithm", node.kind), node)
-                for node in plan.root.alternatives
-            ]
+            fallback = plan.root
         else:
-            attempts = [(algorithm, None)]
-
+            if algorithm not in list_algorithms():
+                create(algorithm)  # the registry's typed "unknown" error
+            fallback = Fallback(alternatives=(
+                TopK(k=k, n=len(values), dtype=str(values.dtype),
+                     algorithm=algorithm),
+            ))
+        # A runtime resource limit skips to the next candidate (a lone
+        # requested algorithm surfaces it); device faults surface.
         keys = values if largest else _order_reversed(values)
-        result = None
-        for position, (name, node) in enumerate(attempts):
-            try:
-                runner = (
-                    create_for_node(node, device)
-                    if node is not None
-                    else create(name, device)
-                )
-                result = runner.run(keys, k, model_n=model_n)
-                break
-            except ResourceExhaustedError:
-                # The cost model predicted this candidate would fit but the
-                # implementation hit a hard resource limit: with "auto" the
-                # candidate is simply infeasible, so degrade to the next
-                # one; an explicitly requested algorithm surfaces the error.
-                if position == len(attempts) - 1:
-                    raise
-                registry = obs.active_metrics()
-                if registry is not None:
-                    registry.counter(
-                        "planner.runtime_infeasible", algorithm=name
-                    ).inc()
-        assert result is not None
+        result, _ = walk(
+            fallback, keys, k, FailurePolicy(), device=device, model_n=model_n
+        )
         if not largest:
             # Map the reversed-key results back to the original values.
             result.values = values[result.indices].copy()

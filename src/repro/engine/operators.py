@@ -20,10 +20,9 @@ of buffering.  The invariant that makes the refactor safe: driving
 pre-incremental one-shot path, because ``emit`` runs the same fallback
 walk over the same array.
 
-:class:`SelectionOperator` is that walk — the single fault-retry /
-CPU-oracle wrapper for every selection the engine runs, exact or
-approximate, moved here verbatim from the executor so both the one-shot
-and streaming paths share it.
+:class:`SelectionOperator` runs that walk (:func:`repro.plan.walker.walk`
+under the engine's failure policy) for every selection the engine runs,
+exact or approximate, so the one-shot and streaming paths share it.
 """
 
 from __future__ import annotations
@@ -31,14 +30,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro import observability as obs
-from repro.algorithms.base import reference_topk
-from repro.algorithms.registry import create_for_node
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.errors import FaultError, InvalidParameterError
-from repro.gpu import faults
 from repro.gpu.counters import ExecutionTrace
 from repro.gpu.device import DeviceSpec, get_device
-from repro.plan import CPU_FALLBACK, ApproxTopK, Fallback, Merge
+from repro.plan import ApproxTopK, Fallback, Merge, PlanNode
+from repro.plan.walker import FailurePolicy, walk
 
 
 class IncrementalOperator:
@@ -77,14 +74,23 @@ class IncrementalOperator:
             )
 
 
+def _own_trace(node: PlanNode) -> bool:
+    """Whether a stage's trace, not the query-level one, accounts it."""
+    return (
+        isinstance(node, (ApproxTopK, Merge))
+        or getattr(node, "algorithm", "") == "radik"
+    )
+
+
 class SelectionOperator(IncrementalOperator):
     """The engine's top-k selection as an incremental operator.
 
     ``advance`` buffers chunks; ``emit`` walks the selection plan's
     :class:`~repro.plan.Fallback` alternatives over the buffered rows —
     each kernel stage gets ``fault_retries`` bounded retries on an
-    injected device fault; the terminal ``cpu-heap`` stage is the oracle,
-    which has no device to lose and answers exactly.  ``emit`` returns
+    injected device fault, a stage out of resources is skipped, and the
+    terminal ``cpu-heap`` stage is the oracle, which has no device to
+    lose and answers exactly.  ``emit`` returns
     the selected indices plus the operator's own trace for stages that
     model one (the approximate and sharded operators, and the adaptive
     radix select) — None means "account with the exact query-level
@@ -106,7 +112,11 @@ class SelectionOperator(IncrementalOperator):
         self.plan = plan
         self.device = device or get_device()
         self.flags = flags
-        self.fault_retries = fault_retries
+        self._policy = FailurePolicy(
+            attempts=fault_retries + 1,
+            retry=(FaultError,),
+            observe=False,
+        )
         self._chunks: list[np.ndarray] = []
 
     def open(self) -> None:
@@ -146,53 +156,17 @@ class SelectionOperator(IncrementalOperator):
             span_attrs["shards"] = len(winner.inputs)
         else:
             span_name = "phase:functional-topk"
-        retries = 0
-        oracle = False
-        outcome: tuple[np.ndarray, ExecutionTrace | None] | None = None
         with obs.span(span_name, category="phase", **span_attrs):
-            with obs.suspended():
-                for node in plan.alternatives:
-                    if getattr(node, "algorithm", "") == CPU_FALLBACK:
-                        oracle = True
-                        with faults.suspended():
-                            _, indices = reference_topk(ranks, k)
-                        outcome = (indices, None)
-                        break
-                    # Stages that model their own kernels (the approximate
-                    # and sharded operators, and the adaptive radix select
-                    # whose pass schedule only the run itself knows) hand
-                    # their trace up; bitonic stages are re-accounted by
-                    # the query-level pipeline trace.
-                    own_trace = (
-                        isinstance(node, (ApproxTopK, Merge))
-                        or getattr(node, "algorithm", "") == "radik"
-                    )
-                    for _attempt in range(self.fault_retries + 1):
-                        try:
-                            result = create_for_node(
-                                node, self.device, flags=self.flags
-                            ).run(
-                                ranks,
-                                k,
-                                model_n=matched_model if own_trace else None,
-                            )
-                            outcome = (
-                                result.indices,
-                                result.trace if own_trace else None,
-                            )
-                            break
-                        except FaultError:
-                            retries += 1
-                    if outcome is not None:
-                        break
-        assert outcome is not None
-        registry = obs.active_metrics()
-        if registry is not None:
-            if retries:
-                registry.counter("engine.fault_retries").inc(retries)
-            if oracle:
-                registry.counter("engine.cpu_fallbacks").inc()
-        return outcome
+            result, node = walk(
+                plan,
+                ranks,
+                k,
+                self._policy,
+                device=self.device,
+                flags=self.flags,
+                model_n=lambda node: matched_model if _own_trace(node) else None,
+            )
+        return result.indices, (result.trace if _own_trace(node) else None)
 
 
 class TickInterpreter:

@@ -29,11 +29,11 @@ from repro import observability as obs
 from repro.algorithms import keys as keycodec
 from repro.algorithms.base import TopKResult, validate_topk_args
 from repro.algorithms.radix_sort import DIGIT_BITS
-from repro.algorithms.registry import create
 from repro.core.planner import PlanChoice, TopKPlanner
 from repro.costmodel.base import WorkloadProfile
-from repro.errors import InvalidParameterError, ResourceExhaustedError
+from repro.errors import InvalidParameterError
 from repro.gpu.device import DeviceSpec, get_device
+from repro.plan.walker import FailurePolicy, walk
 
 
 @dataclass(frozen=True)
@@ -145,26 +145,11 @@ class AdaptiveTopK:
             "adaptive", category="scheduler", n=len(data), k=k
         ) as span:
             choice = self.choose(data, k, model_n)
-            candidates = choice.fallback_chain()
-            result = None
-            for position, name in enumerate(candidates):
-                try:
-                    result = create(name, self.device).run(
-                        data, k, model_n=model_n
-                    )
-                    break
-                except ResourceExhaustedError:
-                    # The sampled profile predicted this candidate would
-                    # fit but a hard resource limit disagreed at runtime:
-                    # treat it as infeasible and take the next-cheapest.
-                    if position == len(candidates) - 1:
-                        raise
-                    registry = obs.active_metrics()
-                    if registry is not None:
-                        registry.counter(
-                            "planner.runtime_infeasible", algorithm=name
-                        ).inc()
-            assert result is not None
+            # A runtime resource limit skips to the next-cheapest candidate.
+            result, _ = walk(
+                choice.root, data, k, FailurePolicy(),
+                device=self.device, model_n=model_n,
+            )
             span.set(algorithm=result.algorithm)
             registry = obs.active_metrics()
             if registry is not None:

@@ -16,6 +16,7 @@ The subsystem has four parts:
   ``repro chaos``.
 """
 
+from repro.plan import CPU_FALLBACK
 from repro.resilience.breaker import (
     DEFAULT_BREAKER,
     BreakerPolicy,
@@ -23,7 +24,6 @@ from repro.resilience.breaker import (
 )
 from repro.resilience.chaos import ChaosReport, ChaosTrial, run_campaign
 from repro.resilience.executor import (
-    CPU_FALLBACK,
     DEFAULT_FALLBACK_CHAIN,
     AttemptLog,
     ResilientExecutor,

@@ -4,61 +4,32 @@ The production counterpart to :func:`repro.topk`: where the plain entry
 point lets a device fault escape as an exception, the
 :class:`ResilientExecutor` walks a *fallback chain* of algorithms (by
 default the planner's cost ranking, finishing on the CPU heap, which has
-no simulated GPU to lose) and retries each transient fault with
-exponential backoff in simulated time:
-
-1. **bounded retry** — :class:`~repro.resilience.retry.RetryPolicy`;
-   backoff is accounted as a fixed-time ``resilience-backoff`` kernel
-   appended to the winning trace, so timing stays deterministic;
-2. **fallback** — after ``max_attempts`` failures (or immediately on
-   :class:`~repro.errors.ResourceExhaustedError`, which no retry can fix)
-   the next-cheapest surviving algorithm takes over;
-3. **verification** — every candidate result passes the
-   :mod:`repro.resilience.verify` hooks; a corrupt answer is treated as a
-   retryable :class:`~repro.errors.MemoryCorruptionError`, never returned.
-
-With no fault injector installed and no faults occurring, the executor
-adds nothing to the result: same values, same trace, same simulated time
-as calling the algorithm directly.
+no simulated GPU to lose) through :func:`repro.plan.walker.walk` with
+bounded retries, exponential backoff in simulated time, and result
+verification (``docs/resilience.md`` gives the policy).  With no faults
+it adds nothing to the result: same values, same trace, same simulated
+time as calling the algorithm directly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import observability as obs
 from repro.algorithms.base import TopKResult, validate_topk_args
-from repro.algorithms.registry import create_for_node, list_algorithms
+from repro.algorithms.registry import list_algorithms
 from repro.core.planner import TopKPlanner
 from repro.costmodel.base import UNIFORM_FLOAT, WorkloadProfile
-from repro.errors import ReproError, ResourceExhaustedError
-from repro.gpu import faults
-from repro.gpu.counters import KernelCounters
 from repro.gpu.device import DeviceSpec, get_device
-from repro.gpu.timing import BACKOFF_KERNEL
-from repro.plan import CPU_FALLBACK, Fallback, PlanNode, build_fallback
-from repro.resilience.retry import DEFAULT_RETRY, RetryPolicy, is_retryable
-from repro.resilience.verify import verify_result
+from repro.plan import Fallback, build_fallback
+from repro.plan.walker import AttemptLog, FailurePolicy, walk
+from repro.resilience.retry import DEFAULT_RETRY, RETRYABLE_ERRORS, RetryPolicy
 
 #: The fixed fallback order when the caller names an explicit algorithm
 #: (the planner's cost ranking is used for "auto"): bitonic first (the
 #: paper's winner), then the selection baselines, then the CPU heap —
 #: which needs no working GPU at all.
 DEFAULT_FALLBACK_CHAIN = ("bitonic", "radix-select", "bucket-select", "sort")
-
-
-@dataclass
-class AttemptLog:
-    """What happened across one resilient run, for reports and tests."""
-
-    attempts: int = 0
-    retries: int = 0
-    fallbacks: list[tuple[str, str]] = field(default_factory=list)
-    verification_failures: int = 0
-    backoff_seconds: float = 0.0
-    errors: list[str] = field(default_factory=list)
 
 
 class ResilientExecutor:
@@ -78,6 +49,12 @@ class ResilientExecutor:
         self.verify = verify
         self.cpu_fallback = cpu_fallback
         self.planner = TopKPlanner(self.device)
+        self._policy = FailurePolicy(
+            attempts=retry.max_attempts,
+            retry=RETRYABLE_ERRORS,
+            backoff=retry,
+            verify=verify,
+        )
 
     # -- chain construction ---------------------------------------------
 
@@ -150,145 +127,30 @@ class ResilientExecutor:
         plan = self.fallback_plan(
             len(data), k, data.dtype, algorithm, profile
         )
-        chain = plan.chain()
-        registry = obs.active_metrics()
-        last_error: ReproError | None = None
         with obs.span(
             "resilient-topk",
             category="resilience",
             n=len(data),
             k=k,
             requested_algorithm=algorithm,
-            chain=",".join(chain),
+            chain=",".join(plan.chain()),
             plan_fingerprint=plan.fingerprint(),
         ) as span:
-            for position, node in enumerate(plan.alternatives):
-                name = chain[position]
-                if position > 0:
-                    previous = chain[position - 1]
-                    log.fallbacks.append((previous, name))
-                    if registry is not None:
-                        registry.counter(
-                            "resilience.fallbacks", source=previous, target=name
-                        ).inc()
-                    with obs.span(
-                        "fallback",
-                        category="resilience",
-                        source=previous,
-                        target=name,
-                    ):
-                        pass
-                result, error = self._attempt_node(
-                    node, name, data, k, model_n, log
-                )
-                if result is not None:
-                    self._account_backoff(result, log)
-                    span.set(
-                        algorithm=result.algorithm,
-                        attempts=log.attempts,
-                        retries=log.retries,
-                        fallbacks=len(log.fallbacks),
-                    )
-                    if registry is not None:
-                        registry.counter(
-                            "resilience.runs", algorithm=result.algorithm
-                        ).inc()
-                    return result
-                last_error = error
-            span.set(exhausted=True, attempts=log.attempts)
-        if registry is not None:
-            registry.counter("resilience.exhausted").inc()
-        assert last_error is not None
-        raise last_error
-
-    def _attempt_node(
-        self,
-        node: PlanNode,
-        name: str,
-        data: np.ndarray,
-        k: int,
-        model_n: int | None,
-        log: AttemptLog,
-    ) -> tuple[TopKResult | None, ReproError | None]:
-        """Retry loop for one fallback alternative; (None, error) means
-        'degrade to the next node'."""
-        registry = obs.active_metrics()
-        last_error: ReproError | None = None
-        for attempt in range(1, self.retry.max_attempts + 1):
-            log.attempts += 1
             try:
-                algorithm = create_for_node(node, self.device)
-                if name == CPU_FALLBACK:
-                    # The CPU heap has no simulated device to lose and no
-                    # PCIe copy to corrupt: it is the terminal stage that
-                    # must succeed whatever the injector does, so device
-                    # fault sites are suspended for its attempt.
-                    with faults.suspended():
-                        result = algorithm.run(data, k, model_n=model_n)
-                else:
-                    result = algorithm.run(data, k, model_n=model_n)
-                    # Simulated D2H copy of the finished result: a transfer
-                    # fault-injection site, then an optional silent-
-                    # corruption site the verification hooks must catch.
-                    faults.fault_point("result-transfer", name)
-                    faults.filter_result("result-buffer", result.values, name)
-                if self.verify:
-                    verify_result(data, result)
-                return result, None
-            except ResourceExhaustedError as error:
-                # A capacity limit: retrying cannot help, skip the stage.
-                log.errors.append(f"{name}: {error}")
-                if registry is not None:
-                    registry.counter(
-                        "resilience.infeasible", algorithm=name
-                    ).inc()
-                return None, error
-            except ReproError as error:
-                if not is_retryable(error):
-                    raise
-                log.errors.append(f"{name}: {error}")
-                last_error = error
-                site = getattr(error, "site", "")
-                if site == "result-verify":
-                    log.verification_failures += 1
-                    if registry is not None:
-                        registry.counter(
-                            "resilience.verification_failures", algorithm=name
-                        ).inc()
-                if attempt == self.retry.max_attempts:
-                    return None, last_error
-                log.retries += 1
-                backoff = self.retry.backoff_seconds(attempt)
-                log.backoff_seconds += backoff
-                if registry is not None:
-                    registry.counter(
-                        "resilience.retries",
-                        algorithm=name,
-                        fault=type(error).__name__,
-                    ).inc()
-                with obs.span(
-                    "retry",
-                    category="resilience",
-                    algorithm=name,
-                    attempt=attempt,
-                    fault=type(error).__name__,
-                    backoff_ms=backoff * 1e3,
-                ) as retry_span:
-                    retry_span.add_simulated_ms(backoff * 1e3)
-        return None, last_error
-
-    def _account_backoff(self, result: TopKResult, log: AttemptLog) -> None:
-        """Charge accumulated backoff to the winning trace (simulated)."""
-        if log.backoff_seconds <= 0.0:
-            return
-        # Constructed directly (not via trace.launch) so backoff accounting
-        # cannot itself trip the kernel-launch fault point.
-        counters = KernelCounters(
-            name=BACKOFF_KERNEL, fixed_seconds=log.backoff_seconds
-        )
-        result.trace.kernels.append(counters)
-        result.trace.notes["retries"] = float(log.retries)
-        result.trace.notes["backoff_seconds"] = log.backoff_seconds
+                result, _ = walk(
+                    plan, data, k, self._policy,
+                    device=self.device, model_n=model_n, log=log,
+                )
+            except self._policy.skip + self._policy.retry:
+                span.set(exhausted=True, attempts=log.attempts)
+                raise
+            span.set(
+                algorithm=result.algorithm,
+                attempts=log.attempts,
+                retries=log.retries,
+                fallbacks=len(log.fallbacks),
+            )
+        return result
 
 
 def resilient_topk(

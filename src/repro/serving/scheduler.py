@@ -129,7 +129,9 @@ class TopKServer:
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
         self._idle = threading.Condition(self._lock)
+        #: Admission slots held by the current drain's unresolved requests.
         self._in_flight = 0
+        self._dispatching = False
         self._closed = False
         self._dispatcher: threading.Thread | None = None
         if auto_start:
@@ -256,7 +258,7 @@ class TopKServer:
         """Block until every submitted query has been resolved."""
         with self._idle:
             self._idle.wait_for(
-                lambda: not self._pending and self._in_flight == 0
+                lambda: not self._pending and not self._dispatching
             )
 
     # -- request construction ---------------------------------------------
@@ -348,7 +350,8 @@ class TopKServer:
                 # previous dispatch executed becomes batching material now.
                 drained = list(self._pending)
                 self._pending.clear()
-                self._in_flight += len(drained)
+                self._in_flight = len(drained)
+                self._dispatching = True
                 self.metrics.gauge("serving.queue_depth").set(0)
             try:
                 self._note_queue_wait(drained)
@@ -360,6 +363,7 @@ class TopKServer:
                         self.batcher.plan(request)
                     except Exception as error:  # noqa: BLE001
                         self.metrics.counter("serving.failed").inc()
+                        self._release(1)
                         if request.future is not None:
                             request.future.set_exception(error)
                         continue
@@ -368,19 +372,27 @@ class TopKServer:
                     self._run_group(group)
             finally:
                 with self._lock:
-                    self._in_flight -= len(drained)
+                    self._in_flight = 0
+                    self._dispatching = False
                     self._idle.notify_all()
+
+    def _release(self, count: int) -> None:
+        """Free ``count`` slots; called before their futures resolve."""
+        with self._lock:
+            self._in_flight -= count
 
     def _run_group(self, group) -> None:
         try:
             outcomes = self.batcher.execute(group)
         except Exception as error:  # noqa: BLE001 — delivered via futures
             self.metrics.counter("serving.failed").inc(len(group))
+            self._release(len(group))
             for request in group:
                 if request.future is not None:
                     request.future.set_exception(error)
             return
         self.metrics.counter("serving.completed").inc(len(group))
+        self._release(len(group))
         for request, outcome in zip(group, outcomes):
             if request.future is not None:
                 request.future.set_result(outcome)

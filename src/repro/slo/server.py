@@ -142,6 +142,7 @@ class SloTopKServer(TopKServer):
         for request, decision, error in shed:
             self.metrics.counter("serving.shed", qos=request.qos).inc()
             self.metrics.counter("serving.failed").inc()
+            self._release(1)
             if request.future is not None:
                 request.future.set_exception(error)
 

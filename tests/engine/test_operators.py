@@ -10,7 +10,10 @@ from repro.engine.operators import (
     TickInterpreter,
     run_once,
 )
+from repro.engine.session import Session
+from repro.engine.twitter import generate_tweets
 from repro.errors import InvalidParameterError
+from repro.gpu.faults import FaultInjector, FaultPlan, inject
 from repro.plan import build_fallback
 
 
@@ -131,3 +134,41 @@ class TestSelectionOperator:
         operator.open()
         assert operator._chunks == []
         operator.close()
+
+    def test_stage_out_of_resources_is_skipped(self, rng):
+        ranks = rng.standard_normal(4096).astype(np.float32)
+        plan = build_fallback(
+            [("bitonic", 1e-3), ("sort", 2e-3)], n=4096, k=32,
+            terminal_cpu=True,
+        )
+        injector = FaultInjector(
+            seed=0,
+            plans=[FaultPlan(site="kernel-launch", fault="resource-exhausted",
+                             nth=1)],
+        )
+        with inject(injector):
+            indices, _ = run_once(SelectionOperator(plan), ranks, 32)
+        assert injector.schedule()
+        assert np.array_equal(indices, reference_topk(ranks, 32)[1])
+
+
+class TestSessionResourceExhausted:
+    def test_sql_answers_when_a_kernel_runs_out_of_resources(self):
+        # topk() and the resilient executor skip a stage that hits a hard
+        # resource limit at run time; the engine must too, ending on its
+        # CPU oracle instead of raising.
+        session = Session()
+        session.register(generate_tweets(1 << 14))
+        sql = "SELECT id FROM tweets ORDER BY likes_count DESC LIMIT 32"
+        injector = FaultInjector(
+            seed=0,
+            plans=[FaultPlan(site="kernel-launch", fault="resource-exhausted",
+                             nth=1)],
+        )
+        with inject(injector):
+            result = session.sql(sql)
+        assert injector.schedule()
+        likes = session.table("tweets").column("likes_count")
+        rows = result.column("id")
+        assert len(set(rows.tolist())) == 32
+        assert np.array_equal(likes[rows], reference_topk(likes, 32)[0])

@@ -5,6 +5,7 @@ import pytest
 
 from repro import observability as obs
 from repro.algorithms.base import reference_topk
+from repro.algorithms.registry import create_for_node
 from repro.core.topk import topk
 from repro.errors import InvalidParameterError, TransferError
 from repro.gpu.faults import FaultInjector, FaultPlan, inject
@@ -176,6 +177,41 @@ class TestVerification:
             resilient_topk(data, len(data) + 1)
 
 
+class TestTerminalStage:
+    def test_cpu_stage_answers_in_the_oracles_order(self):
+        # Every kernel launch lost: the CPU heap answers, and NaN must rank
+        # last with ties broken by lower row, exactly as reference_topk.
+        data = (np.arange(4096) % 8).astype(np.float32)
+        data[3] = np.nan
+        injector = FaultInjector(
+            seed=0,
+            plans=[FaultPlan(site="kernel-launch", fault="device-lost",
+                             probability=1.0, max_injections=None)],
+        )
+        with inject(injector):
+            result = ResilientExecutor().run(data, 16)
+        values, rows = reference_topk(data, 16)
+        assert result.algorithm == "cpu-hand-pq"
+        assert np.array_equal(result.values, values)
+        assert np.array_equal(result.indices, rows)
+
+    def test_cpu_stage_keeps_the_cpu_heap_trace(self, data):
+        injector = FaultInjector(
+            seed=0,
+            plans=[FaultPlan(site="kernel-launch", fault="device-lost",
+                             probability=1.0, max_injections=None)],
+        )
+        with inject(injector):
+            result = ResilientExecutor(retry=RetryPolicy(max_attempts=1)).run(
+                data, 32
+            )
+        heap = create_for_node(
+            ResilientExecutor().fallback_plan(len(data), 32, data.dtype)
+            .alternatives[-1]
+        ).run(data, 32)
+        assert result.simulated_ms() == heap.simulated_ms()
+
+
 class TestObservability:
     def test_counters_and_spans_recorded(self, data):
         observation = obs.Observation(obs.Tracer(), obs.MetricsRegistry())
@@ -191,8 +227,13 @@ class TestObservability:
             instrument.name for instrument in observation.metrics
         }
         assert "faults.injected" in metrics
-        assert "resilience.retries" in metrics
-        assert "resilience.runs" in metrics
+        assert "plan.attempts" in metrics
+        assert observation.metrics.value(
+            "plan.attempts", node="bitonic", outcome="retry"
+        ) == 1
+        assert observation.metrics.value(
+            "plan.attempts", node="bitonic", outcome="ok"
+        ) == 1
         categories = {
             span.category for span in observation.tracer.spans()
         }

@@ -106,6 +106,31 @@ class TestAdmissionControl:
         assert outcome.values.shape == (2,)
         server.close()
 
+    def test_slot_frees_before_its_future_resolves(self, device, rng):
+        # A and B drain together but run as separate groups.  While B's
+        # group is held, A's answer must already have freed A's slot.
+        server = TopKServer(device=device, max_pending=2, auto_start=False)
+        release = threading.Event()
+        execute = server.batcher.execute
+
+        def held_execute(group):
+            if len(group[0].data) == 2048:
+                release.wait(timeout=30)
+            return execute(group)
+
+        server.batcher.execute = held_execute
+        first = server.submit(rng.random(4096).astype(np.float32), k=4)
+        held = server.submit(rng.random(2048).astype(np.float32), k=4)
+        server.start()
+        try:
+            first.result(timeout=30)
+            third = server.submit(rng.random(64).astype(np.float32), k=2)
+        finally:
+            release.set()
+        held.result(timeout=30)
+        third.result(timeout=30)
+        server.close()
+
     def test_max_pending_must_be_positive(self, device):
         with pytest.raises(InvalidParameterError):
             TopKServer(device=device, max_pending=0)
