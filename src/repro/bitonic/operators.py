@@ -19,11 +19,28 @@ Conventions (matching the paper's Algorithms 2-4):
   sequence containing the top-k of the pair — the key insight of
   Section 3.2.
 
+Every step runs on block views — the lower partners are the first ``inc``
+slots of each ``2 * inc`` block — with a branch-free XOR swap, never a
+gather.  :func:`reduce_topk` keeps its buffer **tile-major**: each row's
+``m = n / k`` runs are transposed once into a ``(k, m)`` tile whose column
+``c`` holds run ``c``.  Partners ``p`` and ``p + inc`` of every run are
+then whole tile rows, so a local-sort or rebuild step exchanges contiguous
+row blocks across all runs and batch rows at once; its direction is a row
+bit (``direction_period < k``) or the column's parity
+(``direction_period == k``).  Runs ``2j`` and ``2j + 1`` sit in adjacent
+columns, so the merge pairs columns and leaves run ``j`` in column ``j``
+of the half-width tile.  This is the functional analogue of Section 4.3's
+shared-memory combined steps, where a thread block keeps its k-run
+resident through all of that run's steps.  The exchange decisions are the
+network's own, so results are bit-identical to stepping the logical order.
+
 All operators optionally carry a payload array (row ids or values) through
 the same exchanges, supporting the key+value experiments of Section 6.6.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -36,32 +53,76 @@ from repro.bitonic.network import (
 from repro.errors import InvalidParameterError
 
 
+def _ascending(count: int, bit: int) -> np.ndarray:
+    """Which of ``count`` blocks run ascending: those with ``bit`` clear."""
+    return (np.arange(count) & bit) == 0
+
+
+#: Tile masks are few and small; logical-order masks can be long, so uncached.
+_tile_ascending = functools.lru_cache(maxsize=256)(_ascending)
+
+_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+
+def _bits(array: np.ndarray) -> np.ndarray:
+    return array.view(_UNSIGNED[array.itemsize])
+
+
+def _exchange(pairs: np.ndarray, swap: np.ndarray) -> None:
+    """Swap the two halves of ``pairs`` (axis 1) in place where ``swap``
+    holds: an XOR swap of the bit patterns, exact for every dtype and
+    branch-free."""
+    bits = _bits(pairs)
+    diff = bits[:, 0] ^ bits[:, 1]
+    diff *= swap
+    bits ^= diff[:, np.newaxis]
+
+
+def _select(first: np.ndarray, second: np.ndarray, keep_first: np.ndarray):
+    """``np.where(keep_first, first, second)`` as a branch-free bit blend."""
+    blend = _bits(first) ^ _bits(second)
+    blend *= keep_first
+    blend ^= _bits(second)
+    return blend.view(first.dtype)
+
+
 def apply_step(
-    values: np.ndarray, step: Step, payload: np.ndarray | None = None
+    values: np.ndarray,
+    step: Step,
+    payload: np.ndarray | None = None,
+    *,
+    tile: tuple[int, int] | None = None,
 ) -> None:
-    """Apply one compare-exchange step in place."""
+    """Apply one compare-exchange step in place.
+
+    ``values`` and ``payload`` are 1-D, by default in the network's logical
+    order.  ``tile=(k, m)`` marks them as the flattened tile-major buffer of
+    :func:`reduce_topk`: consecutive ``(k, m)`` tiles, column ``c`` holding
+    run ``c``.
+    """
     n = len(values)
-    if n % (2 * step.inc) != 0:
+    run, columns = tile or (n, 1)
+    if run % (2 * step.inc) != 0 or (tile and n % (run * columns) != 0):
         raise InvalidParameterError(
             f"array length {n} is not a multiple of the step block {2 * step.inc}"
         )
-    t = np.arange(n // 2)
-    low = t & (step.inc - 1)
-    i = (t << 1) - low
-    partner = i + step.inc
-    reverse = (i & step.direction_period) == 0
-    left = values[i]
-    right = values[partner]
-    swap = np.logical_xor(reverse, left < right)
-    new_left = np.where(swap, right, left)
-    new_right = np.where(swap, left, right)
-    values[i] = new_left
-    values[partner] = new_right
+    pairs = values.reshape(-1, 2, step.inc, columns)
+    if step.direction_period < run:
+        # Blocks never straddle a run, so a block's first lower partner
+        # carries the direction bit for the whole block.
+        ascending = _tile_ascending if tile else _ascending
+        block_bit = step.direction_period // (2 * step.inc)
+        reverse = ascending(len(pairs), block_bit)[:, None, None]
+    elif tile:
+        # Column c holds run c: the direction is a bit of the column index.
+        reverse = _tile_ascending(columns, step.direction_period // run)
+    else:
+        reverse = True  # the period spans the whole buffer
+    swap = np.less(pairs[:, 0], pairs[:, 1])
+    swap ^= reverse
+    _exchange(pairs, swap)
     if payload is not None:
-        left_payload = payload[i]
-        right_payload = payload[partner]
-        payload[i] = np.where(swap, right_payload, left_payload)
-        payload[partner] = np.where(swap, left_payload, right_payload)
+        _exchange(payload.reshape(pairs.shape), swap)
 
 
 def local_sort(
@@ -90,15 +151,13 @@ def merge(
             f"array length {n} is not a multiple of a run pair (2k = {2 * k})"
         )
     pairs = values.reshape(-1, 2, k)
-    first = pairs[:, 0, :]
-    second = pairs[:, 1, :]
-    keep_first = first >= second
-    merged = np.where(keep_first, first, second).reshape(-1)
+    keep_first = pairs[:, 0] >= pairs[:, 1]
+    merged = _select(pairs[:, 0], pairs[:, 1], keep_first).reshape(-1)
     merged_payload = None
     if payload is not None:
         payload_pairs = payload.reshape(-1, 2, k)
-        merged_payload = np.where(
-            keep_first, payload_pairs[:, 0, :], payload_pairs[:, 1, :]
+        merged_payload = _select(
+            payload_pairs[:, 0], payload_pairs[:, 1], keep_first
         ).reshape(-1)
     return merged, merged_payload
 
@@ -113,33 +172,61 @@ def rebuild(
         apply_step(values, step, payload)
 
 
+def _reduce_tiles(
+    values: np.ndarray, k: int, payload: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Local sort, then merge+rebuild down to one run, on tile-major rows:
+    ``(rows, n)`` in, each row's surviving bitonic k-sequence out."""
+    rows, n = values.shape
+    runs = n // k
+
+    def to_tiles(array: np.ndarray) -> np.ndarray:
+        return array.reshape(rows, runs, k).transpose(0, 2, 1).reshape(-1)
+
+    values = to_tiles(values)
+    if payload is not None:
+        payload = to_tiles(payload)
+    for step in local_sort_steps(k):
+        apply_step(values, step, payload, tile=(k, runs))
+    rebuild = rebuild_steps(k)
+    while runs > 1:
+        runs //= 2
+        values, payload = merge(values, 1, payload)  # adjacent columns
+        if runs > 1:
+            for step in rebuild:
+                apply_step(values, step, payload, tile=(k, runs))
+    return values.reshape(rows, k), (
+        payload.reshape(rows, k) if payload is not None else None
+    )
+
+
 def reduce_topk(
     values: np.ndarray, k: int, payload: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The full operator pipeline: local sort, then merge+rebuild to k elements.
 
-    ``values`` is modified and consumed; the returned arrays hold the top-k
-    (sorted descending) and the corresponding payload entries.
+    ``values`` is one row or a ``(rows, n)`` batch, each row reduced
+    independently; a 1-D input is a batch of one.  The inputs are left
+    unchanged; the returned arrays hold each row's top-k (sorted
+    descending) and the corresponding payload entries.
     """
     validate_power_of_two(k, "k")
-    n = len(values)
+    single = values.ndim == 1
+    if single:
+        values = values[np.newaxis]
+        payload = payload[np.newaxis] if payload is not None else None
+    n = values.shape[1]
     validate_power_of_two(n, "n")
     if k > n:
         raise InvalidParameterError("k cannot exceed the (padded) input size")
-    if k == n:
-        order = np.argsort(values, kind="stable")[::-1]
-        return values[order], payload[order] if payload is not None else None
-    if k == 1:
-        # A run of length 1 is trivially sorted; the pipeline degenerates to
-        # a max reduction, which we express as repeated pairwise merges.
-        while len(values) > 1:
-            values, payload = merge(values, 1, payload)
-        return values, payload
-    local_sort(values, k, payload)
-    while len(values) > k:
-        values, payload = merge(values, k, payload)
-        if len(values) > k:
-            rebuild(values, k, payload)
+    if k < n:
+        values, payload = _reduce_tiles(values, k, payload)
     # The final k survivors form one bitonic sequence; sort them descending.
-    order = np.argsort(values, kind="stable")[::-1]
-    return values[order], payload[order] if payload is not None else None
+    order = np.argsort(values, axis=1, kind="stable")[:, ::-1]
+    top = np.take_along_axis(values, order, axis=1)
+    top_payload = (
+        np.take_along_axis(payload, order, axis=1) if payload is not None else None
+    )
+    if single:
+        return top[0], top_payload[0] if top_payload is not None else None
+    return top, top_payload

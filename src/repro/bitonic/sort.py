@@ -51,11 +51,7 @@ def bitonic_sort(
     for step in full_sort_steps(padded_n):
         apply_step(working, step, working_payload)
     # Padding sentinels are maximal and sort to the end.
-    result = working[:n]
-    result_payload = working_payload[:n]
-    if payload is None:
-        return result.copy(), result_payload.copy()
-    return result.copy(), result_payload.copy()
+    return working[:n].copy(), working_payload[:n].copy()
 
 
 class BitonicSortTopK(TopKAlgorithm):

@@ -1,7 +1,8 @@
 """Bitonic top-k — the paper's contribution, as a :class:`TopKAlgorithm`.
 
 Functionally the algorithm pads the input to a power of two with sentinel
-minimum values, runs the local-sort / merge / rebuild reduction
+minimum values (NaN rows become the sentinel too, so they rank below every
+real value, as in the oracle), runs the local-sort / merge / rebuild reduction
 (:mod:`repro.bitonic.operators`), and returns the top-k values with their
 row indices.  The execution trace models the SortReducer / BitonicReducer
 kernel pipeline (:mod:`repro.bitonic.kernels`) under the configured
@@ -26,7 +27,7 @@ from repro.errors import InvalidParameterError
 from repro.gpu.device import DeviceSpec
 
 
-def _sentinel(dtype: np.dtype):
+def padding_sentinel(dtype: np.dtype):
     """The minimum representable value of a dtype, used to pad the input."""
     if dtype.kind == "f":
         return -np.inf
@@ -37,40 +38,61 @@ def _next_power_of_two(value: int) -> int:
     return 1 << max(0, (value - 1).bit_length())
 
 
+def pad_rows(data: np.ndarray, padded_n: int) -> np.ndarray:
+    """``data`` copied into a sentinel-padded buffer ``padded_n`` wide.
+
+    NaN rows are written as the sentinel too, so the network ranks them
+    with the padding, below every real value, and never compares a NaN;
+    :func:`repair_padded_indices` restores them after the real minima.
+    Works on one row or a ``(rows, n)`` batch.
+    """
+    sentinel = padding_sentinel(data.dtype)
+    working = np.full(data.shape[:-1] + (padded_n,), sentinel, dtype=data.dtype)
+    real = working[..., : data.shape[-1]]
+    real[...] = data
+    if data.dtype.kind == "f":
+        np.copyto(real, sentinel, where=np.isnan(data))
+    return working
+
+
+def sentinel_rows(data: np.ndarray) -> np.ndarray:
+    """The real rows :func:`pad_rows` runs as the sentinel, in the oracle's
+    order: rows holding the dtype's minimum, then the NaN rows."""
+    nan = np.isnan(data) if data.dtype.kind == "f" else False
+    minima = np.flatnonzero(data == padding_sentinel(data.dtype))
+    return np.concatenate([minima, np.flatnonzero(nan)])
+
+
 def repair_padded_indices(
     data: np.ndarray, values: np.ndarray, indices: np.ndarray, n: int
-) -> np.ndarray:
-    """Repair result indices that point at padding slots.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Repair result slots that hold a padding slot or a NaN row.
 
-    A padding sentinel can only reach the top-k when real elements share the
-    dtype's minimum value, in which case the returned *values* are already
-    correct and we only need to point the indices at unused real rows
-    holding that value.  (With NaN payloads the comparison network can also
-    carry a sentinel past real values — ordering is undefined there, so any
-    unused real row is an acceptable substitute.)
+    Both enter the network as the dtype's minimum (:func:`pad_rows`), so
+    they reach the top-k only where it reaches down to that value.  Such
+    slots are refilled, lowest row first, with the real rows equal to the
+    minimum that the result does not hold yet, then with the NaN rows; NaN
+    entries go last — the oracle's order (value descending, NaN last).
+    Returns the repaired ``(values, indices)``.
 
     Shared by the single-row :class:`BitonicTopK` and the batched kernel in
     :mod:`repro.core.batched`, which keeps their tie-breaking bit-identical.
     """
     broken = indices >= n
+    if data.dtype.kind == "f":
+        broken[~broken] = np.isnan(data[indices[~broken]])
     if not broken.any():
-        return indices
-    minimum = values[broken][0]
+        return values, indices
     used = set(indices[~broken].tolist())
-    replacements = [
-        row for row in np.flatnonzero(data == minimum) if row not in used
-    ]
     slots = np.flatnonzero(broken)
-    if len(replacements) < len(slots):
-        # Only reachable when NaNs scrambled the network: top up with the
-        # lowest real rows not already part of the result.
-        taken = used | set(replacements)
-        extras = (row for row in range(n) if row not in taken)
-        while len(replacements) < len(slots):
-            replacements.append(next(extras))
-    fixed = indices.copy()
-    fixed[slots] = replacements[: len(slots)]
-    return fixed
+    replacements = [row for row in sentinel_rows(data).tolist() if row not in used]
+    indices = indices.copy()
+    indices[slots] = replacements[: len(slots)]
+    values = data[indices]
+    if data.dtype.kind == "f":
+        order = np.argsort(np.isnan(values), kind="stable")
+        values, indices = values[order], indices[order]
+    return values, indices
 
 
 class BitonicTopK(TopKAlgorithm):
@@ -104,8 +126,7 @@ class BitonicTopK(TopKAlgorithm):
             )
         network_k = _next_power_of_two(k)
         padded_n = max(_next_power_of_two(n), network_k)
-        working = np.full(padded_n, _sentinel(data.dtype), dtype=data.dtype)
-        working[:n] = data
+        working = pad_rows(data, padded_n)
         payload = np.arange(padded_n, dtype=np.int64)
         with obs.span(
             "phase:bitonic-reduce",
@@ -114,8 +135,9 @@ class BitonicTopK(TopKAlgorithm):
             padded_n=padded_n,
         ):
             top_values, top_payload = reduce_topk(working, network_k, payload)
-        values = top_values[:k].copy()
-        indices = repair_padded_indices(data, values, top_payload[:k].copy(), n)
+        values, indices = repair_padded_indices(
+            data, top_values[:k].copy(), top_payload[:k].copy(), n
+        )
 
         trace = build_trace(
             model_n or n, network_k, data.dtype.itemsize, self.flags, self.device

@@ -7,10 +7,11 @@ to it for free: every compare-exchange step applies elementwise along the
 row axis, so one fused kernel serves the whole batch and the per-row
 launches amortize — exactly the regime where bitonic's uniformity shines.
 
-Functionally the operators here are the 2-D versions of
-:mod:`repro.bitonic.operators`; the execution trace is the single-row
-kernel pipeline with its traffic scaled by the batch size (the launch
-count does not scale — the point of batching).
+Functionally every row runs through the same tile-major kernel as the
+single-row algorithm (:func:`repro.bitonic.operators.reduce_topk` takes a
+``(rows, n)`` batch); the execution trace is the single-row kernel
+pipeline with its traffic scaled by the batch size (the launch count does
+not scale — the point of batching).
 """
 
 from __future__ import annotations
@@ -20,135 +21,21 @@ import numpy as np
 from repro import observability as obs
 from repro.algorithms.base import SUPPORTED_DTYPES, TopKResult
 from repro.bitonic.kernels import build_trace
-from repro.bitonic.topk import repair_padded_indices
-from repro.bitonic.network import (
-    Step,
-    local_sort_steps,
-    rebuild_steps,
-    validate_power_of_two,
-)
+from repro.bitonic.operators import reduce_topk
+from repro.bitonic.topk import pad_rows, padding_sentinel, repair_padded_indices
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.errors import InvalidParameterError
 from repro.gpu.counters import ExecutionTrace
 from repro.gpu.device import DeviceSpec, get_device
 
 
-def apply_step_batched(
-    matrix: np.ndarray, step: Step, payload: np.ndarray | None = None
-) -> None:
-    """One compare-exchange step applied to every row, in place.
-
-    The step's lower partners ``i = 2t - (t & (inc - 1))`` are exactly the
-    first ``inc`` columns of each ``2 * inc`` block, so on contiguous
-    arrays the exchange runs on reshaped block views (contiguous strided
-    copies) instead of fancy-indexed gather/scatter — the fused-launch
-    fast path the serving batcher relies on.
-    """
-    n = matrix.shape[1]
-    inc = step.inc
-    if n % (2 * inc) != 0:
-        raise InvalidParameterError(
-            f"row length {n} is not a multiple of the step block {2 * inc}"
-        )
-    contiguous = matrix.flags.c_contiguous and (
-        payload is None or payload.flags.c_contiguous
-    )
-    if not contiguous:
-        _apply_step_batched_gather(matrix, step, payload)
-        return
-    rows = matrix.shape[0]
-    view = matrix.reshape(rows, -1, 2, inc)
-    left = view[:, :, 0, :]
-    right = view[:, :, 1, :]
-    blocks = n // (2 * inc)
-    i = (np.arange(blocks) * 2 * inc)[:, None] + np.arange(inc)[None, :]
-    reverse = (i & step.direction_period) == 0
-    swap = np.logical_xor(reverse, left < right)
-    new_left = np.where(swap, right, left)
-    view[:, :, 1, :] = np.where(swap, left, right)
-    view[:, :, 0, :] = new_left
-    if payload is not None:
-        payload_view = payload.reshape(rows, -1, 2, inc)
-        left_payload = payload_view[:, :, 0, :]
-        right_payload = payload_view[:, :, 1, :]
-        new_left_payload = np.where(swap, right_payload, left_payload)
-        payload_view[:, :, 1, :] = np.where(swap, left_payload, right_payload)
-        payload_view[:, :, 0, :] = new_left_payload
-
-
-def _apply_step_batched_gather(
-    matrix: np.ndarray, step: Step, payload: np.ndarray | None
-) -> None:
-    """Fancy-indexed fallback for non-contiguous inputs (reshape would
-    silently copy, losing the in-place writes)."""
-    n = matrix.shape[1]
-    t = np.arange(n // 2)
-    low = t & (step.inc - 1)
-    i = (t << 1) - low
-    partner = i + step.inc
-    reverse = (i & step.direction_period) == 0
-    left = matrix[:, i]
-    right = matrix[:, partner]
-    swap = np.logical_xor(reverse[np.newaxis, :], left < right)
-    matrix[:, i] = np.where(swap, right, left)
-    matrix[:, partner] = np.where(swap, left, right)
-    if payload is not None:
-        left_payload = payload[:, i]
-        right_payload = payload[:, partner]
-        payload[:, i] = np.where(swap, right_payload, left_payload)
-        payload[:, partner] = np.where(swap, left_payload, right_payload)
-
-
-def _merge_batched(
-    matrix: np.ndarray, k: int, payload: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    rows = matrix.shape[0]
-    pairs = matrix.reshape(rows, -1, 2, k)
-    keep_first = pairs[:, :, 0, :] >= pairs[:, :, 1, :]
-    merged = np.where(keep_first, pairs[:, :, 0, :], pairs[:, :, 1, :])
-    merged = merged.reshape(rows, -1)
-    merged_payload = None
-    if payload is not None:
-        payload_pairs = payload.reshape(rows, -1, 2, k)
-        merged_payload = np.where(
-            keep_first, payload_pairs[:, :, 0, :], payload_pairs[:, :, 1, :]
-        ).reshape(rows, -1)
-    return merged, merged_payload
-
-
 def batched_reduce_topk(
     matrix: np.ndarray, k: int, payload: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Reduce every row of ``matrix`` (power-of-two width) to its top-k."""
-    validate_power_of_two(k, "k")
-    n = matrix.shape[1]
-    validate_power_of_two(n, "row length")
-    if k > n:
-        raise InvalidParameterError("k cannot exceed the row length")
-    if k == n:
-        order = np.argsort(matrix, axis=1, kind="stable")[:, ::-1]
-        sorted_matrix = np.take_along_axis(matrix, order, axis=1)
-        sorted_payload = (
-            np.take_along_axis(payload, order, axis=1) if payload is not None else None
-        )
-        return sorted_matrix, sorted_payload
-    if k == 1:
-        while matrix.shape[1] > 1:
-            matrix, payload = _merge_batched(matrix, 1, payload)
-        return matrix, payload
-    for step in local_sort_steps(k):
-        apply_step_batched(matrix, step, payload)
-    while matrix.shape[1] > k:
-        matrix, payload = _merge_batched(matrix, k, payload)
-        if matrix.shape[1] > k:
-            for step in rebuild_steps(k):
-                apply_step_batched(matrix, step, payload)
-    order = np.argsort(matrix, axis=1, kind="stable")[:, ::-1]
-    sorted_matrix = np.take_along_axis(matrix, order, axis=1)
-    sorted_payload = (
-        np.take_along_axis(payload, order, axis=1) if payload is not None else None
-    )
-    return sorted_matrix, sorted_payload
+    if matrix.ndim != 2:
+        raise InvalidParameterError("batched top-k expects a 2-D array")
+    return reduce_topk(matrix, k, payload)
 
 
 def batched_topk(
@@ -188,12 +75,7 @@ def batched_topk(
         k=k,
         network_k=network_k,
     ) as span:
-        if matrix.dtype.kind == "f":
-            sentinel = -np.inf
-        else:
-            sentinel = np.iinfo(matrix.dtype).min
-        working = np.full((rows, padded_n), sentinel, dtype=matrix.dtype)
-        working[:, :n] = matrix
+        working = pad_rows(matrix, padded_n)
         # Column positions fit in 32 bits for any realistic row, halving the
         # payload traffic through the network; widened to the result dtype
         # (matching the single-row kernel) after the reduction.
@@ -219,17 +101,14 @@ def batched_topk(
 
         top_values = values[:, :k].copy()
         top_indices = indices[:, :k].copy()
-        # Padding slots carry the dtype's minimum value, which ties with
-        # legitimate minima (0 for unsigned ints, real -inf floats), so a
-        # padded column index >= n can win a compare-exchange.  Point those
-        # entries back at unused real columns holding the same value — the
-        # same repair (and tie-breaking) as the single-row kernel.
-        leaked = top_indices >= n
-        if leaked.any():
-            for row in np.flatnonzero(leaked.any(axis=1)):
-                top_indices[row] = repair_padded_indices(
-                    matrix[row], top_values[row], top_indices[row], n
-                )
+        # Padding slots and NaN columns run as the dtype's minimum, so only
+        # rows whose top-k reaches it can hold one; they get the single-row
+        # repair, which keeps the two tie-breakings bit-identical.
+        suspect = (top_values == padding_sentinel(matrix.dtype)).any(axis=1)
+        for row in np.flatnonzero(suspect):
+            top_values[row], top_indices[row] = repair_padded_indices(
+                matrix[row], top_values[row], top_indices[row], n
+            )
     return TopKResult(
         values=top_values,
         indices=top_indices,

@@ -26,6 +26,7 @@ import numpy as np
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
 from repro.bitonic.network import topk_total_comparisons
 from repro.bitonic.operators import local_sort, merge, rebuild
+from repro.bitonic.topk import pad_rows, padding_sentinel, sentinel_rows
 from repro.cpu.spec import I7_6900, CpuSpec
 from repro.errors import InvalidParameterError
 from repro.gpu.counters import ExecutionTrace
@@ -74,9 +75,7 @@ def partition_bitonic_topk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 5: one core's streaming reduction of its partition."""
     n = _next_power_of_two(max(len(partition), k))
-    values = np.full(n, -np.inf if partition.dtype.kind == "f" else
-                     np.iinfo(partition.dtype).min, dtype=partition.dtype)
-    values[: len(partition)] = partition
+    values = pad_rows(partition, n)
     payload = np.full(n, -1, dtype=np.int64)
     payload[: len(partition)] = np.arange(len(partition)) + base_index
 
@@ -108,7 +107,15 @@ def partition_bitonic_topk(
         local_sort(current, k, current_payload)
         current, current_payload = merge(current, k, current_payload)
     order = np.argsort(current, kind="stable")[::-1]
-    return current[order], current_payload[order]
+    current, current_payload = current[order], current_payload[order]
+    if partition.dtype.kind == "f" and np.isnan(partition).any():
+        # NaN rows ran as the sentinel (pad_rows); rank the tied tail as
+        # the oracle does: real minima, then NaN rows, then padding.
+        rows = sentinel_rows(partition) + base_index
+        tail = np.flatnonzero(current == padding_sentinel(partition.dtype))
+        current_payload[tail] = -1
+        current_payload[tail[: len(rows)]] = rows[: len(tail)]
+    return current, current_payload
 
 
 class CpuBitonicTopK(TopKAlgorithm):
@@ -155,7 +162,12 @@ class CpuBitonicTopK(TopKAlgorithm):
         valid = all_payload >= 0
         all_values = all_values[valid]
         all_payload = all_payload[valid]
-        order = np.argsort(all_values, kind="stable")[::-1][:k]
+        order = np.argsort(all_values, kind="stable")[::-1]
+        if data.dtype.kind == "f":
+            # NaN rows ran as the sentinel; they rank after real minima.
+            nan_last = np.argsort(np.isnan(data[all_payload[order]]), kind="stable")
+            order = order[nan_last]
+        order = order[:k]
 
         trace = ExecutionTrace()
         counters = trace.launch("cpu-bitonic")
@@ -165,6 +177,5 @@ class CpuBitonicTopK(TopKAlgorithm):
         scan_seconds = self.cpu.scan_time(float(model) * data.dtype.itemsize)
         counters.fixed_seconds = max(compute_seconds, scan_seconds)
         trace.notes["comparisons"] = float(comparisons)
-        return self._result(
-            all_values[order].copy(), all_payload[order].copy(), trace, k, n, model_n
-        )
+        indices = all_payload[order]
+        return self._result(data[indices], indices, trace, k, n, model_n)

@@ -16,7 +16,7 @@ real -inf floats).
 import numpy as np
 import pytest
 
-from repro.algorithms.base import SUPPORTED_DTYPES
+from repro.algorithms.base import SUPPORTED_DTYPES, reference_topk
 from repro.bitonic.topk import BitonicTopK
 from repro.core.batched import batched_topk
 from repro.errors import InvalidParameterError
@@ -36,6 +36,17 @@ def assert_rows_match_single(matrix, k):
         assert np.array_equal(
             batched.indices[row], single.indices
         ), f"row {row}: indices diverge from the single-row kernel"
+
+
+def assert_rows_match_oracle(matrix, k):
+    """Every row holds ``reference_topk``'s values, on rows that hold them."""
+    batched = batched_topk(matrix.copy(), k)
+    for row in range(matrix.shape[0]):
+        expected, _ = reference_topk(matrix[row], k)
+        assert np.array_equal(batched.values[row], expected, equal_nan=True)
+        assert np.array_equal(
+            matrix[row][batched.indices[row]], batched.values[row], equal_nan=True
+        )
 
 
 class TestRowParity:
@@ -112,9 +123,8 @@ class TestSpecialFloats:
         assert_rows_match_single(matrix, 5)
 
     def test_nan_rows_match_single_kernel(self, rng):
-        # NaN ordering is undefined (comparison networks propagate them
-        # unpredictably, see test_special_values.py) but batched and
-        # single-row must propagate them *identically*.
+        # NaN columns rank below every real value (the oracle's NaN-last
+        # order), identically in the batched and single-row kernels.
         matrix = rng.random((5, 29)).astype(np.float32)
         matrix[0, 3] = np.nan
         matrix[1, :7] = np.nan
@@ -122,6 +132,8 @@ class TestSpecialFloats:
         matrix[3, 10] = -np.inf
         matrix[3, 11] = np.nan
         assert_rows_match_single(matrix, 6)
+        assert_rows_match_oracle(matrix, 6)
+        assert_rows_match_oracle(matrix, 29)
 
     def test_nan_with_padding_and_k_equals_n(self, rng):
         matrix = rng.random((3, 13)).astype(np.float32)
@@ -129,6 +141,7 @@ class TestSpecialFloats:
         matrix[2, 0] = np.nan
         matrix[2, 1] = -np.inf
         assert_rows_match_single(matrix, 13)
+        assert_rows_match_oracle(matrix, 13)
 
 
 class TestDtypeValidation:

@@ -8,10 +8,10 @@ Float inputs may contain infinities and signed zeros; the library's policy
 * -0.0 ties with 0.0 (numeric equality governs; the radix bit transform
   places -0.0 immediately below +0.0, which is consistent with a stable
   numeric order);
-* NaN-free inputs are assumed, as in the paper's workloads.  The radix
-  transform orders NaN above +inf (a documented artifact); comparison
-  networks propagate them unpredictably.  These tests pin down the
-  *documented* behaviours, not accidental ones.
+* NaN: the radix transform orders NaN above +inf (a documented
+  artifact); the bitonic kernels rank NaN below every real value, as the
+  oracle does (``tests/bitonic/test_nan_order.py``).  These tests pin
+  down the *documented* behaviours, not accidental ones.
 """
 
 import numpy as np
