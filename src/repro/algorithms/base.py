@@ -91,7 +91,11 @@ def reference_topk(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth top-k via full sort — the testing oracle.
 
     Returns (values, indices), values sorted descending.  Ties are broken by
-    lower index first (stable), matching all our algorithm implementations.
+    lower index first (stable).  Every exact kernel returns these values,
+    but only ``radix-select``, ``radik`` and ``sharded`` also return these
+    rows on ties; ``bitonic``, ``bitonic-sort``, ``bucket-select``,
+    ``per-thread``, ``per-thread-registers`` and ``sort`` may return other
+    tied rows.
     """
     validate_topk_args(data, k)
     if data.dtype.kind == "f":

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from repro.bench.common import BASELINE_TOLERANCE
 from repro.bench.figures import REGISTRY
 from repro.bench.history import compare_run, load_run, save_run
 from repro.bench.report import format_figure
@@ -27,9 +28,6 @@ from repro.bench.report import format_figure
 #: The fast subset rerun on every CI push (well under a second combined;
 #: the big sweep figures take seconds to minutes each).
 CI_FIGURES = ("fig08", "abl43", "q4")
-
-#: Relative simulated-ms increase tolerated before CI fails.
-CI_TOLERANCE = 0.15
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="baseline run record to compare against (with --ci: gate)",
     )
     parser.add_argument(
-        "--tolerance", type=float, default=CI_TOLERANCE,
+        "--tolerance", type=float, default=BASELINE_TOLERANCE,
         help="relative simulated-ms increase tolerated before failing",
     )
     return parser

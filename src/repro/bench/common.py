@@ -41,10 +41,10 @@ def drifted(
 ) -> bool:
     """True when ``measured`` falls outside the relative tolerance band.
 
-    The band is relative to ``expected`` with a tiny absolute floor so a
+    The band is relative to ``|expected|`` with a tiny absolute floor so a
     zero expectation doesn't demand exact equality of floats.
     """
-    return abs(measured - expected) > tolerance * max(expected, 1e-9)
+    return abs(measured - expected) > tolerance * max(abs(expected), 1e-9)
 
 
 def add_report_arguments(

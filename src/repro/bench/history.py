@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.bench.common import BASELINE_TOLERANCE, drifted
 from repro.bench.report import Figure
 from repro.errors import InvalidParameterError
 
@@ -115,11 +116,9 @@ def compare(
             before = before_points.get(str(x))
             if before is None:
                 continue
-            delta = after - before
-            if slower_only and delta <= 0:
+            if slower_only and after <= before:
                 continue
-            scale = max(abs(before), 1e-12)
-            if abs(delta) / scale > tolerance:
+            if drifted(after, before, tolerance):
                 regressions.append(
                     Regression(series=series.name, x=str(x), before=before,
                                after=after)
@@ -172,7 +171,7 @@ def load_run(path: str | Path) -> dict[str, Figure]:
 def compare_run(
     baseline: dict[str, Figure],
     current: dict[str, Figure],
-    tolerance: float = 0.15,
+    tolerance: float = BASELINE_TOLERANCE,
     slower_only: bool = True,
 ) -> list[tuple[str, Regression]]:
     """Compare two runs; returns ``(figure_id, regression)`` pairs.

@@ -28,17 +28,11 @@ from repro import observability as obs
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
 from repro.algorithms.registry import create
 from repro.bitonic.topk import BitonicTopK
-from repro.errors import TransferError
 from repro.gpu import faults
-from repro.gpu.counters import ExecutionTrace, KernelCounters
+from repro.gpu.counters import ExecutionTrace
 from repro.gpu.device import DeviceSpec, get_device
-from repro.gpu.timing import BACKOFF_KERNEL, trace_time
-
-#: Bounded retries for one chunk's failed PCIe staging transfer.
-TRANSFER_RETRIES = 3
-
-#: Simulated backoff before re-issuing a failed chunk transfer.
-TRANSFER_BACKOFF_SECONDS = 1e-3
+from repro.gpu.timing import trace_time
+from repro.gpu.transfer import TransferRetries
 
 
 @dataclass(frozen=True)
@@ -140,29 +134,15 @@ class ChunkedTopK:
             # Per-chunk runs execute functionally; their cost is already
             # accounted by the pipeline trace below, so suspend observation
             # to avoid double-counting their kernels.
-            transfer_retries = 0
-            backoff_seconds = 0.0
+            transfers = TransferRetries()
             with obs.suspended():
                 for chunk_index, start in enumerate(
                     range(0, n, functional_chunk)
                 ):
                     chunk = data[start : start + functional_chunk]
                     chunk_k = min(k, len(chunk))
-                    # Stage the chunk over PCIe; a failed transfer is
-                    # retried with simulated backoff before it surfaces.
-                    for attempt in range(TRANSFER_RETRIES + 1):
-                        try:
-                            faults.fault_point(
-                                "pcie-transfer", f"chunk-{chunk_index}"
-                            )
-                            break
-                        except TransferError:
-                            if attempt == TRANSFER_RETRIES:
-                                raise
-                            transfer_retries += 1
-                            backoff_seconds += (
-                                TRANSFER_BACKOFF_SECONDS * 2**attempt
-                            )
+                    # Stage the chunk over PCIe.
+                    transfers.cross(f"chunk-{chunk_index}")
                     result = algorithm.run(chunk, chunk_k)
                     candidate_values.append(result.values)
                     candidate_rows.append(result.indices + start)
@@ -178,19 +158,7 @@ class ChunkedTopK:
             final.add_global_write(float(k) * data.dtype.itemsize)
             trace.notes["chunks"] = plan.num_chunks
             trace.notes["overlap_efficiency"] = plan.overlap_efficiency
-            if transfer_retries:
-                trace.kernels.append(
-                    KernelCounters(
-                        name=BACKOFF_KERNEL, fixed_seconds=backoff_seconds
-                    )
-                )
-                trace.notes["transfer_retries"] = float(transfer_retries)
-                if registry is not None:
-                    registry.counter(
-                        "resilience.retries",
-                        algorithm=f"chunked-{self.algorithm_name}",
-                        fault="TransferError",
-                    ).inc(transfer_retries)
+            transfers.charge(trace, f"chunked-{self.algorithm_name}")
             from repro.observability.instrument import record_trace
 
             span.set(simulated_ms=record_trace(trace, self.device))

@@ -19,9 +19,13 @@ installed — the same zero-overhead discipline as
 * ``"simt-barrier"``     — every ``__syncthreads()`` of the micro SIMT
   executor; where the simulated watchdog trips.
 * ``"pcie-transfer"``    — host <-> device staging in the chunked pipeline
-  and multi-GPU gather.
-* ``"device-launch"``    — per-device dispatch in :class:`MultiGpuTopK`
-  (detail = ``"<device>#<index>"``).
+  (detail = ``"chunk-<index>"``) and the sharded executor's candidate
+  gather (detail = ``"shard-gather"``), both retried through
+  :class:`~repro.gpu.transfer.TransferRetries`.
+* ``"device-launch"``    — per-shard launch admission in
+  :class:`~repro.sharding.ShardedTopK` (detail = ``"shard#<index>"``,
+  ``"shard#<index>:redistribute"`` for a recovery piece) and the GPU
+  half of :class:`~repro.hybrid.HybridTopK`.
 * ``"result-transfer"``  — the D2H copy of a finished result in the
   resilient executor.
 * ``"shared-memory-read"`` / ``"global-memory-read"`` — value-filter sites

@@ -7,7 +7,6 @@ algorithm choice to the observed data distribution.
 
 from repro.hybrid.adaptive import AdaptiveTopK, SampleStatistics, measure_sample
 from repro.hybrid.cpu_gpu import HybridSplit, HybridTopK
-from repro.hybrid.multi_gpu import DeviceShare, MultiGpuTopK
 
 __all__ = [
     "AdaptiveTopK",
@@ -15,6 +14,4 @@ __all__ = [
     "measure_sample",
     "HybridSplit",
     "HybridTopK",
-    "DeviceShare",
-    "MultiGpuTopK",
 ]

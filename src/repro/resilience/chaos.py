@@ -1,8 +1,9 @@
 """Seeded chaos campaign: randomized fault injection with an exact oracle.
 
-Each trial draws a target (one of the five top-k algorithms, or the
-multi-GPU scheduler), a workload, and a fault plan from one seeded PRNG,
-runs the target under injection, and classifies the outcome:
+Each trial draws a target (one of the five top-k algorithms, the
+two-device sharded executor, or the serving path), a workload, and a
+fault plan from one seeded PRNG, runs the target under injection, and
+classifies the outcome:
 
 * ``exact``       — the run survived and returned the exact top-k;
 * ``typed-error`` — the run failed, but with a typed
@@ -28,11 +29,12 @@ import numpy as np
 from repro.algorithms.base import reference_topk
 from repro.errors import ReproError
 from repro.gpu.faults import FaultInjector, FaultPlan, inject
-from repro.hybrid.multi_gpu import MultiGpuTopK
 from repro.resilience.executor import ResilientExecutor
+from repro.sharding.executor import ShardedTopK
 
 #: Targets a campaign cycles through: the five paper algorithms (run
-#: under the resilient executor) plus the multi-GPU scheduler.
+#: under the resilient executor), the sharded executor over a two-device
+#: group, and the serving path.
 ALGORITHM_TARGETS = (
     "bitonic",
     "radix-select",
@@ -40,9 +42,9 @@ ALGORITHM_TARGETS = (
     "sort",
     "per-thread",
 )
-MULTI_GPU_TARGET = "multi-gpu"
+MULTI_DEVICE_TARGET = "sharded"
 SERVING_TARGET = "serving"
-TARGETS = ALGORITHM_TARGETS + (MULTI_GPU_TARGET, SERVING_TARGET)
+TARGETS = ALGORITHM_TARGETS + (MULTI_DEVICE_TARGET, SERVING_TARGET)
 
 #: (site, fault, silent) triples a single-device trial may draw.
 ALGORITHM_FAULTS = (
@@ -54,8 +56,8 @@ ALGORITHM_FAULTS = (
     ("result-buffer", "memory-corruption", False),
 )
 
-#: The analogue for the multi-GPU scheduler.
-MULTI_GPU_FAULTS = (
+#: The analogue for the multi-device target.
+MULTI_DEVICE_FAULTS = (
     ("device-launch", "device-lost", False),
     ("pcie-transfer", "transfer-error", False),
     ("kernel-launch", "device-lost", False),
@@ -186,8 +188,8 @@ def _run_trial(
     target = master.choice(TARGETS)
     n = master.choice((512, 1024, 2048, 4096))
     k = min(n, master.choice((1, 8, 32, 64)))
-    if target == MULTI_GPU_TARGET:
-        faults_menu = MULTI_GPU_FAULTS
+    if target == MULTI_DEVICE_TARGET:
+        faults_menu = MULTI_DEVICE_FAULTS
     elif target == SERVING_TARGET:
         faults_menu = SERVING_FAULTS
     else:
@@ -214,8 +216,8 @@ def _run_trial(
     result = None
     try:
         with inject(injector):
-            if target == MULTI_GPU_TARGET:
-                result = MultiGpuTopK().run(data, k)
+            if target == MULTI_DEVICE_TARGET:
+                result = ShardedTopK(shards=2).run(data, k)
             else:
                 result = ResilientExecutor().run(data, k, algorithm=target)
     except ReproError as exc:

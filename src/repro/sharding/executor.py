@@ -20,8 +20,17 @@ Execution proceeds in phases so fault injection stays deterministic:
 3. **Redistribution** (admission sequential, compute pooled): each lost
    shard's range is split across the survivors; a survivor that is lost
    mid-recovery re-queues its piece, cascading until no device remains.
-4. **Gather + merge** (coordinator): candidates cross simulated PCIe and
-   a final merge kernel reproduces the exact global order.
+4. **Gather + merge** (coordinator): candidates cross simulated PCIe —
+   a failed transfer is retried with simulated backoff
+   (:class:`~repro.gpu.transfer.TransferRetries`) — and a final merge
+   kernel reproduces the exact global order.
+
+A *device group* (``devices=``) may be heterogeneous: shard i runs, and
+its trace is priced, on ``devices[i]``, and ``devices[0]`` coordinates.
+Mixed groups split rows in proportion to each device's modeled
+throughput, so finish times equalize and a slower card still helps;
+identical devices take the balanced split without consulting any cost
+model.
 
 Functional answers come from the canonical total order (the reference
 oracle: value descending, lower global row index first, NaN last) — the
@@ -31,9 +40,9 @@ comparison networks are documented to be unpredictable.  The per-shard
 *inner kernel* (the planner's winner at per-shard scale) still runs on
 every shard's slice: its trace is what the concurrent phase accounts.
 
-Like :class:`~repro.hybrid.multi_gpu.MultiGpuTopK`, the input is assumed
-device-resident and pre-partitioned — no PCIe scatter is charged; only
-candidates (k values + row ids per shard) cross the bus at gather time.
+The input is assumed device-resident and pre-partitioned — no PCIe
+scatter is charged; only candidates (k values + row ids per shard) cross
+the bus at gather time.
 """
 
 from __future__ import annotations
@@ -52,11 +61,12 @@ from repro.algorithms.base import (
     validate_topk_args,
 )
 from repro.algorithms.registry import create
-from repro.errors import DeviceLostError
+from repro.errors import DeviceLostError, InvalidParameterError
 from repro.gpu import faults
 from repro.gpu.counters import ExecutionTrace
 from repro.gpu.device import DeviceSpec
 from repro.gpu.timing import trace_time
+from repro.gpu.transfer import TransferRetries
 from repro.sharding.merge import merge_topk
 from repro.sharding.partition import _validate_shards, partition_ranges
 
@@ -89,7 +99,12 @@ class ShardRun:
 
 
 class ShardedTopK(TopKAlgorithm):
-    """Partition-parallel top-k across N simulated devices."""
+    """Partition-parallel top-k across N simulated devices.
+
+    ``devices`` names the group explicitly and then fixes both the
+    coordinator (``devices[0]``) and the shard count (``len(devices)``);
+    without it the group is ``shards`` copies of ``device``.
+    """
 
     name = "sharded"
 
@@ -99,9 +114,15 @@ class ShardedTopK(TopKAlgorithm):
         shards: int = DEFAULT_SHARDS,
         inner: str | None = None,
         flags=None,
+        devices: list[DeviceSpec] | None = None,
     ):
+        if devices is not None:
+            if not devices:
+                raise InvalidParameterError("a device group needs a device")
+            device, shards = devices[0], len(devices)
         super().__init__(device)
         self.shards = _validate_shards(shards)
+        self.devices = tuple(devices or (self.device,) * self.shards)
         #: Per-shard kernel name; None resolves the planner's winner at
         #: per-shard scale on first use.
         self.inner = inner
@@ -116,9 +137,16 @@ class ShardedTopK(TopKAlgorithm):
         # A shard must hold at least one row; a bare instance on a tiny
         # input degrades to fewer effective shards instead of erroring.
         shards = min(self.shards, n)
-        ranges = partition_ranges(n, shards)
+        shard_model = max(1, -(-model // shards))
         inner_name = self._resolve_inner(
-            max(1, -(-model // shards)), min(k, n // shards), data.dtype
+            shard_model, min(k, n // shards), data.dtype
+        )
+        ranges = partition_ranges(
+            n,
+            shards,
+            self._throughput(
+                self.devices[:shards], inner_name, shard_model, k, data.dtype
+            ),
         )
 
         # Phase 1: sequential launch admission on the coordinator thread.
@@ -171,7 +199,7 @@ class ShardedTopK(TopKAlgorithm):
         width limit exactly as a single device of that size would plan)."""
         local_k = min(max(1, local_k), shard_model)
         if self.inner is not None:
-            probe = self._make_inner(self.inner)
+            probe = self._make_inner(self.inner, self.device)
             if probe.supports(shard_model, local_k, np.dtype(dtype)):
                 return self.inner
         from repro.core.planner import TopKPlanner
@@ -182,12 +210,46 @@ class ShardedTopK(TopKAlgorithm):
             )
         return plan.algorithm
 
-    def _make_inner(self, name: str) -> TopKAlgorithm:
+    def _make_inner(self, name: str, device: DeviceSpec) -> TopKAlgorithm:
         if name == "bitonic" and self.flags is not None:
             from repro.bitonic.topk import BitonicTopK
 
-            return BitonicTopK(self.device, self.flags)
-        return create(name, self.device)
+            return BitonicTopK(device, self.flags)
+        return create(name, device)
+
+    @staticmethod
+    def _throughput(
+        devices: tuple[DeviceSpec, ...],
+        inner_name: str,
+        shard_model: int,
+        k: int,
+        dtype,
+    ) -> list[float] | None:
+        """Each device's modeled rows per second on a balanced shard, or
+        None for a homogeneous group (which then needs no cost model).
+
+        The inner kernel's Section 7 model prices the shard; a kernel
+        without one falls back to the planner's best prediction."""
+        if len(set(devices)) == 1:
+            return None
+        from repro.core.planner import TopKPlanner
+        from repro.costmodel.calibration import base_model_for
+
+        dtype = np.dtype(dtype)
+        local_k = min(k, shard_model)
+        throughput = []
+        with obs.suspended(), faults.suspended():
+            for device in devices:
+                model = base_model_for(inner_name, device)
+                if model is not None and model.supports(
+                    shard_model, local_k, dtype
+                ):
+                    seconds = model.predict_seconds(shard_model, local_k, dtype)
+                else:
+                    plan = TopKPlanner(device).choose(shard_model, local_k, dtype)
+                    seconds = plan.predicted_seconds
+                throughput.append(shard_model / seconds)
+        return throughput
 
     def _run_shards(
         self,
@@ -212,7 +274,8 @@ class ShardedTopK(TopKAlgorithm):
             local_k = min(k, len(slice_))
             shard_model = max(local_k, int(round(model * len(slice_) / n)))
             values, local_indices = reference_topk(slice_, local_k)
-            inner = self._make_inner(inner_name)
+            device = self.devices[index]
+            inner = self._make_inner(inner_name, device)
             traced = inner.run(slice_, local_k, model_n=shard_model)
             return ShardRun(
                 index=index,
@@ -220,7 +283,7 @@ class ShardedTopK(TopKAlgorithm):
                 stop=stop,
                 values=values,
                 indices=local_indices + start,
-                seconds=trace_time(traced.trace, self.device).total,
+                seconds=trace_time(traced.trace, device).total,
             )
 
         with ThreadPoolExecutor(max_workers=min(len(pieces), 16)) as pool:
@@ -304,7 +367,9 @@ class ShardedTopK(TopKAlgorithm):
         redistribute kernel so a fault-free run's trace never pays for
         it.  ``trace.launch`` is the standard ``"kernel-launch"``
         injection site, so the coordinator itself stays fault-injectable
-        and composes with the resilient executor's retry loop.
+        and composes with the resilient executor's retry loop; the gather
+        is also a ``"pcie-transfer"`` site whose retries' backoff rides
+        in a trailing backoff kernel.
         """
         n = len(data)
         itemsize = data.dtype.itemsize
@@ -319,11 +384,14 @@ class ShardedTopK(TopKAlgorithm):
             redistribute.fixed_seconds = (
                 lost_bytes / self.device.pcie_bandwidth + recompute_seconds
             )
+        transfers = TransferRetries()
+        transfers.cross(GATHER_KERNEL)
         gather = trace.launch(GATHER_KERNEL)
         gather.fixed_seconds = candidate_bytes / self.device.pcie_bandwidth
         merge = trace.launch(MERGE_KERNEL)
         merge.add_global_read(candidate_bytes)
         merge.add_global_write(float(k) * (itemsize + ROW_ID_BYTES))
+        transfers.charge(trace, self.name)
         trace.notes["sharding.shards"] = float(shards)
         trace.notes["sharding.shards_lost"] = float(len(lost))
         trace.notes["sharding.redistributed"] = float(redistributed)

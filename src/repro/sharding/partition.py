@@ -34,14 +34,20 @@ def _validate_shards(shards) -> int:
     return int(shards)
 
 
-def partition_ranges(n: int, shards: int) -> list[tuple[int, int]]:
-    """Contiguous, balanced ``[start, stop)`` row ranges for ``n`` rows.
+def partition_ranges(
+    n: int, shards: int, weights: list[float] | None = None
+) -> list[tuple[int, int]]:
+    """Contiguous ``[start, stop)`` row ranges for ``n`` rows.
 
-    Sizes differ by at most one row (the first ``n % shards`` ranges get
-    the extra row), every range is non-empty, and the ranges tile
-    ``[0, n)`` exactly.  Raises :class:`InvalidParameterError` for a
-    non-integer or non-positive shard count, and when ``shards > n``
-    (a shard must hold at least one row).
+    Without ``weights`` (or with all weights equal) the ranges are
+    balanced: sizes differ by at most one row, the first ``n % shards``
+    ranges getting the extra row.  With per-shard throughput ``weights``
+    each range's size is proportional to its weight, rounded at the
+    cumulative boundaries.  Either way every range is non-empty and the
+    ranges tile ``[0, n)`` exactly.  Raises
+    :class:`InvalidParameterError` for a non-integer or non-positive
+    shard count, for weights that are not one positive finite value per
+    shard, and when ``shards > n`` (a shard must hold at least one row).
     """
     shards = _validate_shards(shards)
     if n < 1:
@@ -51,11 +57,37 @@ def partition_ranges(n: int, shards: int) -> list[tuple[int, int]]:
             f"cannot split n = {n} rows into {shards} shards; "
             f"every shard needs at least one row"
         )
+    if weights is not None:
+        if len(weights) != shards or not all(
+            np.isfinite(weight) and weight > 0 for weight in weights
+        ):
+            raise InvalidParameterError(
+                f"need {shards} positive finite shard weights, got {weights!r}"
+            )
+        if len(set(weights)) > 1:
+            return _weighted_ranges(n, shards, weights)
     base, extra = divmod(n, shards)
     ranges: list[tuple[int, int]] = []
     start = 0
     for index in range(shards):
         stop = start + base + (1 if index < extra else 0)
+        ranges.append((start, stop))
+        start = stop
+    return ranges
+
+
+def _weighted_ranges(
+    n: int, shards: int, weights: list[float]
+) -> list[tuple[int, int]]:
+    total = sum(weights)
+    ranges: list[tuple[int, int]] = []
+    start = 0
+    cumulative = 0.0
+    for index, weight in enumerate(weights):
+        cumulative += weight
+        stop = round(n * cumulative / total) if index < shards - 1 else n
+        # Keep this range non-empty and leave a row for each later one.
+        stop = min(max(stop, start + 1), n - (shards - 1 - index))
         ranges.append((start, stop))
         start = stop
     return ranges

@@ -17,7 +17,6 @@ from repro import observability as obs
 from repro.algorithms.registry import list_algorithms
 from repro.core.topk import topk
 from repro.data.distributions import uniform_floats
-from repro.gpu.device import get_device
 
 
 def _observed_topk(data, k, **kwargs):
@@ -88,17 +87,6 @@ class TestSchedulers:
             result.simulated_ms(), rel=1e-9
         )
         assert observation.metrics.value("hybrid.gpu_fraction") is not None
-
-    def test_multi_gpu_accounts_once(self):
-        from repro.hybrid.multi_gpu import MultiGpuTopK
-
-        data = uniform_floats(1 << 13, seed=5)
-        observation = obs.Observation(obs.Tracer(), obs.MetricsRegistry())
-        with observation.activate():
-            result = MultiGpuTopK().run(data, 32)
-        assert observation.tracer.total_sim_ms("kernel") == pytest.approx(
-            result.simulated_ms(get_device()), rel=1e-9
-        )
 
     def test_chunked_accounts_once(self):
         from repro.core.chunked import chunked_topk

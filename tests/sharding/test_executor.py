@@ -8,6 +8,7 @@ import pytest
 from repro import observability as obs
 from repro.algorithms.base import reference_topk
 from repro.errors import InvalidParameterError
+from repro.gpu.device import get_device
 from repro.gpu.timing import trace_time
 from repro.sharding import ShardedTopK, partition_ranges
 from repro.sharding.executor import (
@@ -69,6 +70,12 @@ class TestBitEquality:
         result = assert_exact(data, 3, 8, device)
         assert result.trace.notes["sharding.shards"] == 5.0
 
+    def test_winners_in_one_shard(self, rng, device):
+        data = rng.random(10000).astype(np.float32)
+        data[:30] += 10.0
+        result = assert_exact(data, 30, 2, device)
+        assert (result.indices < 30).all()
+
     def test_matches_the_unsharded_executor(self, rng, device):
         data = rng.random(8192).astype(np.float32)
         single = ShardedTopK(device, shards=1).run(data, 32)
@@ -82,6 +89,10 @@ class TestValidation:
     def test_bad_shard_counts_raise(self, device, bad):
         with pytest.raises(InvalidParameterError):
             ShardedTopK(device, shards=bad)
+
+    def test_empty_device_group_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            ShardedTopK(devices=[])
 
 
 class TestTraceAccounting:
@@ -149,6 +160,89 @@ class TestObservability:
             if span.name == "algorithm:sharded"
         ]
         assert len(algorithm) == 1
+
+
+    def test_accounts_each_kernel_once(self, rng):
+        # Per-shard inner kernels appear only as shard spans; the kernel
+        # spans are the coordinator's trace, priced on devices[0].
+        group = [get_device("v100"), get_device("titan-x-maxwell")]
+        observation = obs.Observation(obs.Tracer(), obs.MetricsRegistry())
+        with observation.activate():
+            result = ShardedTopK(devices=group).run(
+                rng.random(1 << 13).astype(np.float32), 32
+            )
+        assert observation.tracer.total_sim_ms("kernel") == pytest.approx(
+            result.simulated_ms(group[0]), rel=1e-9
+        )
+
+
+#: A model size where the concurrent phase dominates the trace.
+MODEL_N = 1 << 29
+
+
+def shard_spans(devices, data, k=64):
+    """(result, [(rows, simulated_ms) per shard]) for one observed run."""
+    observation = obs.Observation(obs.Tracer(), None)
+    with observation.activate():
+        result = ShardedTopK(devices=devices).run(data, k, model_n=MODEL_N)
+    spans = [
+        (span.attributes["rows"], span.attributes["simulated_ms"])
+        for span in observation.tracer.spans("shard")
+    ]
+    return result, spans
+
+
+class TestDeviceGroups:
+    @pytest.mark.parametrize("size", [1, 2, 4])
+    def test_group_matches_reference(self, rng, size):
+        group = [get_device("v100"), get_device("titan-x-maxwell")] * 2
+        data = rng.random(30000).astype(np.float32)
+        result = ShardedTopK(devices=group[:size]).run(data, 64)
+        values, indices = reference_topk(data, 64)
+        np.testing.assert_array_equal(result.values, values)
+        np.testing.assert_array_equal(result.indices, indices)
+
+    def test_identical_devices_take_the_balanced_split(self, rng, device):
+        data = rng.random(1 << 12).astype(np.float32)
+        grouped = ShardedTopK(devices=[device] * 3).run(data, 8)
+        counted = ShardedTopK(device, shards=3).run(data, 8)
+        np.testing.assert_array_equal(grouped.indices, counted.indices)
+        assert [k.name for k in grouped.trace.kernels] == [
+            k.name for k in counted.trace.kernels
+        ]
+        assert grouped.simulated_ms() == counted.simulated_ms()
+
+    def test_trace_records_the_group_split(self, rng, device):
+        data = rng.random(4096).astype(np.float32)
+        result, spans = shard_spans([device, device], data, k=8)
+        assert result.trace.notes["sharding.shards"] == 2.0
+        assert [rows for rows, _ in spans] == [2048, 2048]
+
+    def test_two_devices_nearly_halve_the_time(self, rng, device):
+        data = rng.random(1 << 16).astype(np.float32)
+        single, _ = shard_spans([device], data)
+        double, _ = shard_spans([device, device], data)
+        speedup = single.simulated_ms() / double.simulated_ms()
+        assert 1.7 < speedup <= 2.05
+
+    def test_heterogeneous_split_favors_the_faster_card(self, rng):
+        volta = get_device("v100")
+        titan = get_device("titan-x-maxwell")
+        data = rng.random(1 << 16).astype(np.float32)
+        _, spans = shard_spans([volta, titan], data)
+        (volta_rows, volta_ms), (titan_rows, titan_ms) = spans
+        assert volta_rows > titan_rows
+        # Throughput-proportional ranges equalize finish times.
+        assert volta_ms == pytest.approx(titan_ms, rel=0.10)
+
+    def test_adding_a_slow_card_still_helps(self, rng):
+        """A slower card takes a small range instead of stalling the
+        fast one."""
+        volta = get_device("v100")
+        data = rng.random(1 << 16).astype(np.float32)
+        alone, _ = shard_spans([volta], data)
+        mixed, _ = shard_spans([volta, get_device("titan-x-maxwell")], data)
+        assert mixed.simulated_ms(volta) < alone.simulated_ms(volta)
 
 
 class TestInnerResolution:

@@ -51,6 +51,35 @@ class TestPartitionRanges:
             partition_ranges(0, 1)
 
 
+class TestWeightedRanges:
+    @pytest.mark.parametrize("n", [7, 1000, 1 << 16])
+    @pytest.mark.parametrize("shards", [1, 2, 3, 7])
+    def test_equal_weights_give_the_balanced_ranges(self, n, shards):
+        assert partition_ranges(n, shards, [2.5] * shards) == partition_ranges(
+            n, shards
+        )
+
+    @pytest.mark.parametrize("n", [3, 10, 1000, 1 << 16])
+    def test_weighted_ranges_tile_and_follow_the_weights(self, n):
+        weights = [4.0, 1.0, 0.001]
+        ranges = partition_ranges(n, 3, weights)
+        assert ranges[0][0] == 0 and ranges[-1][1] == n
+        for (_, stop), (start, _) in zip(ranges, ranges[1:]):
+            assert stop == start
+        sizes = [stop - start for start, stop in ranges]
+        assert all(size >= 1 for size in sizes)
+        assert sizes[0] >= sizes[1] >= sizes[2]
+        if n >= 1000:
+            assert sizes[0] / sizes[1] == pytest.approx(4.0, rel=0.01)
+
+    @pytest.mark.parametrize(
+        "weights", [[1.0], [1.0, 0.0], [1.0, -2.0], [1.0, float("nan")]]
+    )
+    def test_invalid_weights_raise(self, weights):
+        with pytest.raises(InvalidParameterError, match="shard weights"):
+            partition_ranges(100, 2, weights)
+
+
 class TestShardSource:
     def test_round_trip(self):
         source = shard_source("tweets", 128, 256)

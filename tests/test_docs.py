@@ -1,8 +1,8 @@
-"""Documentation health: the checks behind the CI ``docs`` job.
+"""Documentation health: the checks behind the CI smoke job's docs entry.
 
 Runs the same checker CI runs (``tools/check_docs.py``) so a broken link,
 a stale CLI example, or a docs-index / architecture-table gap fails the
-tier-1 suite locally before it fails the docs job remotely.
+tier-1 suite locally before it fails the CI smoke job remotely.
 """
 
 import importlib.util
