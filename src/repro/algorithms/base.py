@@ -90,20 +90,14 @@ def validate_topk_args(data: np.ndarray, k: int) -> None:
 def reference_topk(data: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth top-k via full sort — the testing oracle.
 
-    Returns (values, indices), values sorted descending.  Ties are broken by
-    lower index first (stable).  Every exact kernel returns these values,
-    but only ``radix-select``, ``radik`` and ``sharded`` also return these
-    rows on ties; ``bitonic``, ``bitonic-sort``, ``bucket-select``,
-    ``per-thread``, ``per-thread-registers`` and ``sort`` may return other
-    tied rows.
+    Returns (values, indices), values sorted descending, -0.0 equal to
+    +0.0 and NaN last; ties go to the lower index (a stable argsort of the
+    negated floats or complemented integers, independent of the kernels'
+    key codec).  Every exact kernel returns exactly these rows and values;
+    the oracle itself runs only in tests, benches and harnesses.
     """
     validate_topk_args(data, k)
-    if data.dtype.kind == "f":
-        keys = -data
-    elif data.dtype == np.uint64:
-        keys = np.iinfo(np.uint64).max - data
-    else:
-        keys = -data.astype(np.int64)
+    keys = -data if data.dtype.kind == "f" else ~data
     order = np.argsort(keys, kind="stable")
     indices = order[:k]
     return data[indices], indices

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import observability as obs
+from repro.algorithms import keys as keycodec
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
 from repro.gpu.counters import ExecutionTrace
 
@@ -48,10 +49,13 @@ class BucketSelectTopK(TopKAlgorithm):
         work = data.astype(np.float64)
         if data.dtype.kind == "f":
             # Clamp infinities to finite sentinels so the equi-width bucket
-            # edges stay finite; any float32 magnitude is far below 1e300,
-            # so the relative order is untouched (result values are gathered
-            # from the original data).
-            work = np.nan_to_num(work, nan=np.nan, posinf=1e300, neginf=-1e300)
+            # edges stay finite, and rank NaN below them; any float32
+            # magnitude is far below 1e300, so the relative order is
+            # untouched (result values are gathered from the original data).
+            work = np.nan_to_num(work, nan=-2e300, posinf=1e300, neginf=-1e300)
+        # The buckets only narrow the candidates; survivors are ordered by
+        # their canonical codes, exact where float64 rounds 64-bit keys.
+        codes = keycodec.encode(data)
         rows = np.arange(n, dtype=np.int64)
 
         low = float(work.min())
@@ -60,7 +64,7 @@ class BucketSelectTopK(TopKAlgorithm):
 
         if k == 1:
             # The min-max pass already yields the answer (Section 6.2).
-            index = int(np.argmax(work))
+            index = int(np.argmax(codes))
             trace = self._build_trace(model_n or n, data.dtype, pass_log, k)
             values = data[index : index + 1].copy()
             return self._result(values, np.array([index]), trace, k, n, model_n)
@@ -127,13 +131,12 @@ class BucketSelectTopK(TopKAlgorithm):
                     )
 
         if remaining > 0:
-            order = np.argsort(candidates, kind="stable")[::-1][:remaining]
-            result_rows.append(candidate_rows[order])
+            tail = keycodec.canonical_order(codes[candidate_rows], candidate_rows)
+            result_rows.append(candidate_rows[tail[:remaining]])
 
         indices = np.concatenate(result_rows)
-        order = np.argsort(data[indices], kind="stable")[::-1][:k]
-        indices = indices[order]
-        values = data[indices].copy()
+        indices = indices[keycodec.canonical_order(codes[indices], indices)[:k]]
+        values = data[indices]
         trace = self._build_trace(model_n or n, data.dtype, pass_log, k)
         return self._result(values, indices, trace, k, n, model_n)
 

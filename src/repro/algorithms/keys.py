@@ -1,4 +1,4 @@
-"""Order-preserving bit transforms between keys and unsigned integers.
+"""The canonical key codec: one order for every exact top-k kernel.
 
 Radix-based algorithms operate on the *bits* of a key.  For the comparison
 order of the bits to match the numeric order of the values, keys must be
@@ -7,12 +7,19 @@ transformed (Section 2.2 / the GGKS selection package use the same trick):
 * unsigned integers — identity;
 * signed integers — flip the sign bit;
 * IEEE-754 floats — flip the sign bit for non-negative values, flip *all*
-  bits for negative values.  The result orders exactly like the float
-  (NaNs order above +inf, which we accept and document: the paper's
-  workloads contain no NaNs).
+  bits for negative values.
 
-All transforms are exact involutions up to :func:`decode` and are verified
-by property-based tests against numpy's comparison order.
+:func:`encode` makes the transform canonical: -0.0 takes +0.0's code and
+every NaN takes code 0, below -inf's.  Code order is then the oracle's value
+order (:func:`repro.algorithms.base.reference_topk`: value descending, -0.0
+equal to +0.0, NaN last), and rows break ties: the canonical order is code
+descending, then row ascending (:func:`canonical_order`).
+
+The comparison kernels carry the row inside the key (:func:`sort_keys`), as
+the key+value runs of Section 6.6 do: data of 32 bits or less ranks one
+``uint64`` per row, ``code << 32 | (2^32 - 1 - row)``, so descending key
+order *is* the canonical order; 64-bit data ranks its codes with the row as
+a second key.
 """
 
 from __future__ import annotations
@@ -31,6 +38,13 @@ _WIDTHS = {
     np.dtype(np.int64): 64,
 }
 
+_UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+_SIGNED = {1: np.int8, 2: np.int16, 4: np.int32, 8: np.int64}
+
+#: Bits a packed key gives the row.
+ROW_BITS = 32
+_ROW_MASK = np.uint64((1 << ROW_BITS) - 1)
+
 
 def key_bits(dtype: np.dtype) -> int:
     """Key width in bits (32 or 64)."""
@@ -46,35 +60,33 @@ def key_bytes(dtype: np.dtype) -> int:
 
 
 def encode(values: np.ndarray) -> np.ndarray:
-    """Map values to unsigned integers whose unsigned order matches them."""
+    """Map values to unsigned codes whose order is the canonical value order.
+
+    -0.0 encodes as +0.0 and every NaN as 0, the lowest code.
+    """
     dtype = values.dtype
-    if dtype == np.uint32 or dtype == np.uint64:
-        return values.copy()
-    if dtype == np.int32:
-        return (values.view(np.uint32) ^ np.uint32(1 << 31)).astype(np.uint32)
-    if dtype == np.int64:
-        return (values.view(np.uint64) ^ np.uint64(1 << 63)).astype(np.uint64)
-    if dtype == np.float32:
-        bits = values.view(np.uint32)
-        mask = np.where(
-            bits >> np.uint32(31) == 1,
-            np.uint32(0xFFFFFFFF),
-            np.uint32(1 << 31),
-        )
-        return bits ^ mask
-    if dtype == np.float64:
-        bits = values.view(np.uint64)
-        mask = np.where(
-            bits >> np.uint64(63) == 1,
-            np.uint64(0xFFFFFFFFFFFFFFFF),
-            np.uint64(1 << 63),
-        )
-        return bits ^ mask
-    raise InvalidParameterError(f"unsupported radix key dtype {dtype}")
+    if dtype.kind not in "uif" or dtype.itemsize not in _UNSIGNED:
+        raise InvalidParameterError(f"unsupported radix key dtype {dtype}")
+    unsigned = _UNSIGNED[dtype.itemsize]
+    if dtype.kind == "u":
+        return values.astype(unsigned)
+    top_bit = 8 * dtype.itemsize - 1
+    sign = unsigned(1 << top_bit)
+    if dtype.kind == "i":
+        return values.view(unsigned) ^ sign
+    codes = (values + dtype.type(0)).view(unsigned)  # -0.0 + 0.0 is +0.0
+    mask = (codes.view(_SIGNED[dtype.itemsize]) >> top_bit).view(unsigned)
+    mask |= sign
+    codes ^= mask
+    nan = np.isnan(values)
+    if nan.any():
+        codes[nan] = 0
+    return codes
 
 
 def decode(codes: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """Invert :func:`encode` back to the original dtype."""
+    """Invert :func:`encode` back to the original dtype (code 0 of a float
+    decodes to a NaN)."""
     dtype = np.dtype(dtype)
     if dtype == np.uint32 or dtype == np.uint64:
         return codes.astype(dtype, copy=True)
@@ -99,6 +111,44 @@ def decode(codes: np.ndarray, dtype: np.dtype) -> np.ndarray:
         )
         return (codes ^ mask).view(np.float64)
     raise InvalidParameterError(f"unsupported radix key dtype {dtype}")
+
+
+def canonical_order(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Indices sorting ``(codes, rows)`` canonically: code descending, then
+    row ascending (``~code`` ascending is code descending)."""
+    return np.lexsort((rows, ~codes))
+
+
+def sort_keys(
+    data: np.ndarray, width: int | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The keys the comparison kernels rank, padded to ``width`` columns.
+
+    Works along the last axis of one row or a ``(rows, n)`` batch.  Returns
+    ``(keys, rows)``: for data of 32 bits or less the packed ``uint64`` keys
+    and ``None``; for 64-bit data the codes and each slot's column, the
+    second key.  A padding slot is key 0 with a column of at least n, so it
+    ranks below every real row, NaN rows included.
+    """
+    n = data.shape[-1]
+    width = n if width is None else width
+    keys = np.zeros(data.shape[:-1] + (width,), dtype=np.uint64)
+    real = keys[..., :n]
+    real[...] = encode(data)
+    if data.dtype.itemsize <= 4 and width <= 1 << ROW_BITS:
+        real <<= np.uint64(ROW_BITS)
+        real |= _ROW_MASK - np.arange(n, dtype=np.uint64)
+        return keys, None
+    row_dtype = np.int32 if width <= np.iinfo(np.int32).max else np.int64
+    rows = np.broadcast_to(np.arange(width, dtype=row_dtype), keys.shape).copy()
+    return keys, rows
+
+
+def key_rows(keys: np.ndarray, rows: np.ndarray | None, k: int) -> np.ndarray:
+    """The columns of the first ``k`` :func:`sort_keys` keys, as int64."""
+    if rows is None:
+        return (~keys[..., :k] & _ROW_MASK).astype(np.int64)
+    return rows[..., :k].astype(np.int64)
 
 
 def digit(codes: np.ndarray, shift: int, digit_bits: int = 8) -> np.ndarray:

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import observability as obs
+from repro.algorithms import keys as keycodec
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
 from repro.errors import ResourceExhaustedError
 from repro.gpu.counters import ExecutionTrace
@@ -79,25 +80,20 @@ def lockstep_topk(
     n = len(data)
     num_threads = max(1, min(num_threads, n))
     steps = math.ceil(n / num_threads)
-    if data.dtype.kind == "f":
-        sentinel = -np.inf
-    else:
-        sentinel = np.iinfo(data.dtype).min
-    padded = np.full(steps * num_threads, sentinel, dtype=data.dtype)
-    padded[:n] = data
+    # The heaps rank canonical codes; padding is code 0 with index -1.
+    codes = keycodec.encode(data)
+    padded = np.zeros(steps * num_threads, dtype=codes.dtype)
+    padded[:n] = codes
     matrix = padded.reshape(steps, num_threads)
     index_matrix = np.full(steps * num_threads, -1, dtype=np.int64)
     index_matrix[:n] = np.arange(n)
     index_matrix = index_matrix.reshape(steps, num_threads)
 
     heap_depth = min(k, steps)
-    state = matrix[:heap_depth].T.copy()
-    state_indices = index_matrix[:heap_depth].T.copy()
-    if heap_depth < k:
-        filler = np.full((num_threads, k - heap_depth), sentinel, dtype=data.dtype)
-        state = np.concatenate([state, filler], axis=1)
-        filler_idx = np.full((num_threads, k - heap_depth), -1, dtype=np.int64)
-        state_indices = np.concatenate([state_indices, filler_idx], axis=1)
+    state = np.zeros((num_threads, k), dtype=codes.dtype)
+    state[:, :heap_depth] = matrix[:heap_depth].T
+    state_indices = np.full((num_threads, k), -1, dtype=np.int64)
+    state_indices[:, :heap_depth] = index_matrix[:heap_depth].T
 
     inserts = int(num_threads * heap_depth)
     warp_events = 0
@@ -109,7 +105,9 @@ def lockstep_topk(
         if not mask.any():
             continue
         rows = np.flatnonzero(mask)
-        slots = state[rows].argmin(axis=1)
+        # Evict the canonical minimum: among the lowest codes, the latest row.
+        lowest = state[rows] == minima[rows, np.newaxis]
+        slots = np.where(lowest, state_indices[rows], -1).argmax(axis=1)
         state[rows, slots] = incoming[rows]
         state_indices[rows, slots] = index_matrix[step][rows]
         inserts += len(rows)
@@ -126,20 +124,23 @@ def lockstep_topk(
         warp_insert_events=warp_events,
         steps=steps,
     )
-    return state, state_indices, stats
+    values = np.full(state.shape, _minimum(data.dtype), dtype=data.dtype)
+    filled = state_indices >= 0
+    values[filled] = data[state_indices[filled]]
+    return values, state_indices, stats
+
+
+def _minimum(dtype: np.dtype):
+    return -np.inf if dtype.kind == "f" else np.iinfo(dtype).min
 
 
 def _final_topk(
-    state: np.ndarray, state_indices: np.ndarray, k: int
+    data: np.ndarray, state_indices: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Global reduction over the per-thread heaps."""
-    flat = state.reshape(-1)
-    flat_indices = state_indices.reshape(-1)
-    valid = flat_indices >= 0
-    flat = flat[valid]
-    flat_indices = flat_indices[valid]
-    order = np.argsort(flat, kind="stable")[::-1][:k]
-    return flat[order].copy(), flat_indices[order].copy()
+    """Global reduction over the per-thread heaps, in canonical order."""
+    rows = state_indices[state_indices >= 0]
+    rows = rows[keycodec.canonical_order(keycodec.encode(data[rows]), rows)[:k]]
+    return data[rows], rows
 
 
 class PerThreadTopK(TopKAlgorithm):
@@ -199,7 +200,7 @@ class PerThreadTopK(TopKAlgorithm):
             n=n,
             k=k,
         ) as phase:
-            state, state_indices, stats = lockstep_topk(data, k, functional_threads)
+            _, state_indices, stats = lockstep_topk(data, k, functional_threads)
             phase.set(
                 inserts=stats.inserts, warp_insert_events=stats.warp_insert_events
             )
@@ -209,7 +210,7 @@ class PerThreadTopK(TopKAlgorithm):
                 registry.counter("per_thread.warp_insert_events").inc(
                     stats.warp_insert_events
                 )
-        values, indices = _final_topk(state, state_indices, k)
+        values, indices = _final_topk(data, state_indices, k)
 
         trace = self._build_trace(model, k, width, resources, stats)
         return self._result(values, indices, trace, k, n, model_n)

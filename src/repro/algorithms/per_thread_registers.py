@@ -76,9 +76,9 @@ class PerThreadRegisterTopK(TopKAlgorithm):
             n=n,
             k=k,
         ) as phase:
-            state, state_indices, stats = lockstep_topk(data, k, functional_threads)
+            _, state_indices, stats = lockstep_topk(data, k, functional_threads)
             phase.set(inserts=stats.inserts)
-        values, indices = _final_topk(state, state_indices, k)
+        values, indices = _final_topk(data, state_indices, k)
 
         trace = ExecutionTrace()
         counters = trace.launch("per-thread-registers-scan")

@@ -33,8 +33,8 @@ the simulator:
   radix-planned queries through the serving layer's Batch IR node.
 
 Functionally the operator is exact and bit-equal to the canonical order
-(value descending, lower row on ties, NaN ordered by its key code — the
-documented radix-family artifact, see ``tests/test_special_values.py``).
+(value descending, lower row on ties, NaN last: the codes of
+:func:`repro.algorithms.keys.encode`).
 The execution trace records the traffic the fused CUDA kernels would
 generate, with the per-pass survivor fractions *measured* on the
 functional run (the scale-substitution contract of
@@ -59,7 +59,6 @@ from repro.algorithms.base import (
 from repro.algorithms.radix_select import (
     HISTOGRAM_INTS_PER_THREAD,
     _descending_prefix_counts,
-    canonical_code_order,
 )
 from repro.errors import InvalidParameterError
 from repro.gpu.counters import ExecutionTrace
@@ -128,12 +127,12 @@ class PassRecord:
 
 def _select(
     data: np.ndarray, k: int, model_n: int | None = None
-) -> tuple[np.ndarray, np.ndarray, list[PassRecord], int]:
+) -> tuple[np.ndarray, list[PassRecord], int]:
     """The functional adaptive selection shared by the single and batched
     operators.
 
-    Returns (values-as-codes sorted canonically, rows, pass records, and
-    the candidate count the final sort consumed).
+    Returns (the top-k rows in canonical order, pass records, and the
+    candidate count the final sort consumed).
 
     ``model_n`` extends the scale-substitution contract to the *schedule*:
     digit widths and the defer/filter decision are planned from candidate
@@ -201,14 +200,14 @@ def _select(
 
     final_candidates = emitted_total + len(candidates)
     if remaining > 0:
-        order = canonical_code_order(candidates, candidate_rows)[:remaining]
+        order = keycodec.canonical_order(candidates, candidate_rows)[:remaining]
         result_codes.append(candidates[order])
         result_rows.append(candidate_rows[order])
 
     all_codes = np.concatenate(result_codes) if result_codes else candidates[:0]
     all_rows = np.concatenate(result_rows) if result_rows else candidate_rows[:0]
-    order = canonical_code_order(all_codes, all_rows)[:k]
-    return all_codes[order], all_rows[order], passes, final_candidates
+    order = keycodec.canonical_order(all_codes, all_rows)[:k]
+    return all_rows[order], passes, final_candidates
 
 
 def _trace_passes(
@@ -285,9 +284,7 @@ class RadiKTopK(TopKAlgorithm):
         validate_topk_args(data, k)
         n = len(data)
         with obs.span("phase:radik-passes", category="phase", n=n, k=k) as phase:
-            top_codes, top_rows, passes, final_candidates = _select(
-                data, k, model_n
-            )
+            top_rows, passes, final_candidates = _select(data, k, model_n)
             phase.set(
                 passes=len(passes),
                 deferred=sum(1 for p in passes if p.action == DEFER),
@@ -302,7 +299,7 @@ class RadiKTopK(TopKAlgorithm):
                         record.emitted_fraction
                     )
                     registry.histogram("radik.digit_width").observe(record.width)
-        values = keycodec.decode(top_codes, data.dtype)
+        values = data[top_rows]
 
         trace = ExecutionTrace()
         _trace_passes(
@@ -356,10 +353,8 @@ def batched_radik_topk(
         indices = np.empty((rows, k), dtype=np.int64)
         schedules: list[tuple[list[PassRecord], int]] = []
         for row in range(rows):
-            codes, row_indices, passes, final_candidates = _select(
-                matrix[row], k
-            )
-            values[row] = keycodec.decode(codes, matrix.dtype)
+            row_indices, passes, final_candidates = _select(matrix[row], k)
+            values[row] = matrix[row, row_indices]
             indices[row] = row_indices
             schedules.append((passes, final_candidates))
 

@@ -34,17 +34,6 @@ from repro.gpu.counters import ExecutionTrace
 HISTOGRAM_INTS_PER_THREAD = 16
 
 
-def canonical_code_order(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Indices sorting by (code desc, global row asc).
-
-    The canonical total order used across the system (``reference_topk``,
-    ``sharding.merge_topk``): larger values first, lower global row on
-    ties.  ``~code`` ascending is code descending for the unsigned key
-    codes, with the row as the stable secondary key.
-    """
-    return np.lexsort((rows, ~codes))
-
-
 def _descending_prefix_counts(histogram: np.ndarray) -> np.ndarray:
     """counts[d] -> number of elements with digit > d."""
     reversed_cumsum = np.cumsum(histogram[::-1])
@@ -118,15 +107,15 @@ class RadixSelectTopK(TopKAlgorithm):
         # Whatever candidates remain all tie at (or bound) the k-th value;
         # pad the result with them (Section 4.2's final step).
         if remaining > 0:
-            order = canonical_code_order(candidates, candidate_rows)[:remaining]
+            order = keycodec.canonical_order(candidates, candidate_rows)[:remaining]
             result_codes.append(candidates[order])
             result_rows.append(candidate_rows[order])
 
         all_codes = np.concatenate(result_codes)
         all_rows = np.concatenate(result_rows)
-        order = canonical_code_order(all_codes, all_rows)[:k]
-        values = keycodec.decode(all_codes[order], data.dtype)
+        order = keycodec.canonical_order(all_codes, all_rows)[:k]
         indices = all_rows[order]
+        values = data[indices]
 
         trace = self._build_trace(model_n or n, data.dtype, pass_fractions)
         return self._result(values, indices, trace, k, n, model_n)

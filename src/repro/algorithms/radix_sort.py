@@ -58,17 +58,23 @@ def radix_sort_pass(
     return sorted_codes, sorted_payload, histogram
 
 
+def _lsd_rows(codes: np.ndarray) -> np.ndarray:
+    """The stable permutation sorting ``codes`` ascending, one LSD pass per
+    digit."""
+    rows = np.arange(len(codes), dtype=np.int64)
+    for shift in range(0, 8 * codes.itemsize, DIGIT_BITS):
+        codes, rows, _ = radix_sort_pass(codes, shift, rows)
+    return rows
+
+
 def radix_sort(
     values: np.ndarray, payload: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Full ascending LSD radix sort of ``values`` (optionally with payload)."""
-    codes = keycodec.encode(values)
-    bits = keycodec.key_bits(values.dtype)
-    if payload is None:
-        payload = np.arange(len(values), dtype=np.int64)
-    for shift in range(0, bits, DIGIT_BITS):
-        codes, payload, _ = radix_sort_pass(codes, shift, payload)
-    return keycodec.decode(codes, values.dtype), payload
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full ascending LSD radix sort of ``values`` in the canonical code
+    order (NaN first); returns the sorted values and the permuted payload
+    (the permutation itself without one)."""
+    rows = _lsd_rows(keycodec.encode(values))
+    return values[rows], rows if payload is None else payload[rows]
 
 
 class SortTopK(TopKAlgorithm):
@@ -93,9 +99,9 @@ class SortTopK(TopKAlgorithm):
             n=n,
             passes=keycodec.key_bits(data.dtype) // DIGIT_BITS,
         ):
-            sorted_values, permutation = radix_sort(data)
-        values = sorted_values[::-1][:k].copy()
-        indices = permutation[::-1][:k].copy()
+            # Complemented codes sort ascending, stably: the canonical order.
+            indices = _lsd_rows(~keycodec.encode(data))[:k]
+        values = data[indices]
 
         trace = ExecutionTrace()
         width = keycodec.key_bytes(data.dtype)

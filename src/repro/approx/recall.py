@@ -147,10 +147,9 @@ def measured_recall(
     """Fraction of the exact top-k value multiset the answer recovered.
 
     Both arrays must share a dtype; comparison happens on the
-    order-preserving unsigned codes, so duplicate boundary values are
-    counted with multiplicity and special values (NaN above +Inf for the
-    positive-NaN bit pattern) match the radix algorithms' documented
-    ordering.
+    canonical unsigned codes (:func:`repro.algorithms.keys.encode`), so
+    duplicate boundary values are counted with multiplicity, -0.0 counts
+    as +0.0 and every NaN as one code, below -Inf.
     """
     reference_values = np.asarray(reference_values)
     approx_values = np.asarray(approx_values)

@@ -23,6 +23,7 @@ the Figure 8 sweep.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,8 +31,9 @@ from repro.bitonic.network import local_sort_steps, rebuild_steps
 from repro.bitonic.optimizations import OptimizationFlags
 from repro.bitonic.plan import plan_rounds
 from repro.errors import InvalidParameterError
+from repro.gpu import faults
 from repro.gpu.banks import single_step_conflict_factor
-from repro.gpu.counters import ExecutionTrace
+from repro.gpu.counters import ExecutionTrace, KernelCounters
 from repro.gpu.device import DeviceSpec
 from repro.gpu.occupancy import BlockResources, occupancy
 
@@ -214,6 +216,10 @@ def _unfused_trace(
                 counters.add_global_write(live * word)
 
 
+#: Distinct (n, k, word, flags, device) traces kept priced.
+TRACE_CACHE_SIZE = 1024
+
+
 def build_trace(
     n: int,
     k: int,
@@ -226,9 +232,44 @@ def build_trace(
     ``n`` may be any positive count; the network operates on the next power
     of two (padding with sentinel values adds no memory traffic beyond the
     real elements, so we model traffic on ``n`` directly).
+
+    The trace is a pure function of its arguments, so it is priced once
+    (:func:`_priced`) and every call returns a fresh copy that callers may
+    mutate.  Each kernel still launches through
+    :meth:`~repro.gpu.counters.ExecutionTrace.launch`, in order, so every
+    ``kernel-launch`` fault point fires once per call, cached or not.
     """
     if n <= 0 or k <= 0:
         raise InvalidParameterError("n and k must be positive")
+    kernels, notes = _priced(n, k, word, flags, device)
+    trace = ExecutionTrace(notes=dict(notes))
+    for kernel in kernels:
+        vars(trace.launch(kernel.name)).update(vars(kernel))
+    return trace
+
+
+@functools.lru_cache(maxsize=TRACE_CACHE_SIZE, typed=True)
+def _priced(
+    n: int,
+    k: int,
+    word: int,
+    flags: OptimizationFlags,
+    device: DeviceSpec,
+) -> tuple[tuple[KernelCounters, ...], tuple[tuple[str, float], ...]]:
+    """The frozen kernels and notes of one trace, built with fault
+    injection suspended (:func:`build_trace` replays the launches)."""
+    with faults.suspended():
+        trace = _build(n, k, word, flags, device)
+    return tuple(trace.kernels), tuple(trace.notes.items())
+
+
+def _build(
+    n: int,
+    k: int,
+    word: int,
+    flags: OptimizationFlags,
+    device: DeviceSpec,
+) -> ExecutionTrace:
     trace = ExecutionTrace()
     if k >= n:
         counters = trace.launch("passthrough-sort")

@@ -34,8 +34,13 @@ shared-memory combined steps, where a thread block keeps its k-run
 resident through all of that run's steps.  The exchange decisions are the
 network's own, so results are bit-identical to stepping the logical order.
 
-All operators optionally carry a payload array (row ids or values) through
-the same exchanges, supporting the key+value experiments of Section 6.6.
+All operators optionally carry a payload of signed row ids through the
+same exchanges, supporting the key+value experiments of Section 6.6.  The
+payload is also the second key: equal values order the lower payload
+first (descending), so a tie never leaves the exchange to chance.  The
+top-k kernels pass it only for 64-bit data; narrower data packs the row
+into a ``uint64`` key (:func:`repro.algorithms.keys.sort_keys`) and runs
+without one.
 """
 
 from __future__ import annotations
@@ -86,6 +91,17 @@ def _select(first: np.ndarray, second: np.ndarray, keep_first: np.ndarray):
     return blend.view(first.dtype)
 
 
+def _less(pairs: np.ndarray, payload_pairs: np.ndarray | None) -> np.ndarray:
+    """Where the first half of ``pairs`` ranks below the second: a lower
+    value, or an equal value with a higher payload."""
+    less = np.less(pairs[:, 0], pairs[:, 1])
+    if payload_pairs is not None:
+        tied = np.equal(pairs[:, 0], pairs[:, 1])
+        tied &= payload_pairs[:, 0] > payload_pairs[:, 1]
+        less |= tied
+    return less
+
+
 def apply_step(
     values: np.ndarray,
     step: Step,
@@ -95,10 +111,10 @@ def apply_step(
 ) -> None:
     """Apply one compare-exchange step in place.
 
-    ``values`` and ``payload`` are 1-D, by default in the network's logical
-    order.  ``tile=(k, m)`` marks them as the flattened tile-major buffer of
-    :func:`reduce_topk`: consecutive ``(k, m)`` tiles, column ``c`` holding
-    run ``c``.
+    ``values`` and ``payload`` (the second key) are 1-D, by default in the
+    network's logical order.  ``tile=(k, m)`` marks them as the flattened
+    tile-major buffer of :func:`reduce_topk`: consecutive ``(k, m)`` tiles,
+    column ``c`` holding run ``c``.
     """
     n = len(values)
     run, columns = tile or (n, 1)
@@ -118,11 +134,12 @@ def apply_step(
         reverse = _tile_ascending(columns, step.direction_period // run)
     else:
         reverse = True  # the period spans the whole buffer
-    swap = np.less(pairs[:, 0], pairs[:, 1])
+    payload_pairs = payload.reshape(pairs.shape) if payload is not None else None
+    swap = _less(pairs, payload_pairs)
     swap ^= reverse
     _exchange(pairs, swap)
-    if payload is not None:
-        _exchange(payload.reshape(pairs.shape), swap)
+    if payload_pairs is not None:
+        _exchange(payload_pairs, swap)
 
 
 def local_sort(
@@ -151,11 +168,11 @@ def merge(
             f"array length {n} is not a multiple of a run pair (2k = {2 * k})"
         )
     pairs = values.reshape(-1, 2, k)
-    keep_first = pairs[:, 0] >= pairs[:, 1]
+    payload_pairs = payload.reshape(-1, 2, k) if payload is not None else None
+    keep_first = ~_less(pairs, payload_pairs)
     merged = _select(pairs[:, 0], pairs[:, 1], keep_first).reshape(-1)
     merged_payload = None
-    if payload is not None:
-        payload_pairs = payload.reshape(-1, 2, k)
+    if payload_pairs is not None:
         merged_payload = _select(
             payload_pairs[:, 0], payload_pairs[:, 1], keep_first
         ).reshape(-1)
@@ -208,7 +225,8 @@ def reduce_topk(
     ``values`` is one row or a ``(rows, n)`` batch, each row reduced
     independently; a 1-D input is a batch of one.  The inputs are left
     unchanged; the returned arrays hold each row's top-k (sorted
-    descending) and the corresponding payload entries.
+    descending, the lower payload first on ties) and the corresponding
+    payload entries.
     """
     validate_power_of_two(k, "k")
     single = values.ndim == 1
@@ -221,12 +239,14 @@ def reduce_topk(
         raise InvalidParameterError("k cannot exceed the (padded) input size")
     if k < n:
         values, payload = _reduce_tiles(values, k, payload)
-    # The final k survivors form one bitonic sequence; sort them descending.
-    order = np.argsort(values, axis=1, kind="stable")[:, ::-1]
-    top = np.take_along_axis(values, order, axis=1)
-    top_payload = (
-        np.take_along_axis(payload, order, axis=1) if payload is not None else None
-    )
+    # The final k survivors form one bitonic sequence; sort them descending,
+    # the lower payload first among equal values.
+    if payload is None:
+        top, top_payload = np.sort(values, axis=1)[:, ::-1], None
+    else:
+        order = np.lexsort((-payload, values), axis=1)[:, ::-1]
+        top = np.take_along_axis(values, order, axis=1)
+        top_payload = np.take_along_axis(payload, order, axis=1)
     if single:
         return top[0], top_payload[0] if top_payload is not None else None
     return top, top_payload

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from repro.algorithms import keys as keycodec
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
 from repro.bitonic.network import full_sort_steps
 from repro.bitonic.operators import apply_step
@@ -35,7 +36,12 @@ SHARED_TILE_ELEMENTS = 4096
 def bitonic_sort(
     values: np.ndarray, payload: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Ascending bitonic sort (out of place); pads to a power of two."""
+    """Ascending bitonic sort (out of place); pads to a power of two.
+
+    Returns the sorted values and the carried payload (row positions when
+    none is given).  The payload is the second key: equal values put the
+    higher payload first.
+    """
     n = len(values)
     if n == 0:
         return values.copy(), payload.copy() if payload is not None else None
@@ -72,9 +78,10 @@ class BitonicSortTopK(TopKAlgorithm):
         validate_topk_args(data, k)
         n = len(data)
         model = model_n or n
-        sorted_values, permutation = bitonic_sort(data)
-        values = sorted_values[::-1][:k].copy()
+        # Ascending under the kernels' compare, so reversed it is canonical.
+        _, permutation = bitonic_sort(*keycodec.sort_keys(data))
         indices = permutation[::-1][:k].copy()
+        values = data[indices]
 
         trace = self._build_trace(model, data.dtype.itemsize)
         return self._result(values, indices, trace, k, n, model_n)

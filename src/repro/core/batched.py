@@ -7,11 +7,12 @@ to it for free: every compare-exchange step applies elementwise along the
 row axis, so one fused kernel serves the whole batch and the per-row
 launches amortize — exactly the regime where bitonic's uniformity shines.
 
-Functionally every row runs through the same tile-major kernel as the
-single-row algorithm (:func:`repro.bitonic.operators.reduce_topk` takes a
-``(rows, n)`` batch); the execution trace is the single-row kernel
-pipeline with its traffic scaled by the batch size (the launch count does
-not scale — the point of batching).
+Functionally every row runs through the same tile-major kernel, on the
+same canonical keys, as the single-row algorithm
+(:func:`repro.bitonic.operators.reduce_topk` takes a ``(rows, n)`` batch),
+so each row's answer is the oracle's.  The execution trace is the
+single-row kernel pipeline with its traffic scaled by the batch size (the
+launch count does not scale — the point of batching).
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro import observability as obs
+from repro.algorithms import keys as keycodec
 from repro.algorithms.base import SUPPORTED_DTYPES, TopKResult
 from repro.bitonic.kernels import build_trace
 from repro.bitonic.operators import reduce_topk
-from repro.bitonic.topk import pad_rows, padding_sentinel, repair_padded_indices
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.errors import InvalidParameterError
 from repro.gpu.counters import ExecutionTrace
@@ -32,7 +33,8 @@ from repro.gpu.device import DeviceSpec, get_device
 def batched_reduce_topk(
     matrix: np.ndarray, k: int, payload: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Reduce every row of ``matrix`` (power-of-two width) to its top-k."""
+    """Reduce every row of ``matrix`` (power-of-two width) to its top-k;
+    ``payload`` is the second key."""
     if matrix.ndim != 2:
         raise InvalidParameterError("batched top-k expects a 2-D array")
     return reduce_topk(matrix, k, payload)
@@ -75,16 +77,10 @@ def batched_topk(
         k=k,
         network_k=network_k,
     ) as span:
-        working = pad_rows(matrix, padded_n)
-        # Column positions fit in 32 bits for any realistic row, halving the
-        # payload traffic through the network; widened to the result dtype
-        # (matching the single-row kernel) after the reduction.
-        payload_dtype = np.int32 if padded_n <= np.iinfo(np.int32).max else np.int64
-        payload = np.broadcast_to(
-            np.arange(padded_n, dtype=payload_dtype), (rows, padded_n)
-        ).copy()
-        values, indices = batched_reduce_topk(working, network_k, payload)
-        indices = indices.astype(np.int64, copy=False)
+        keys, columns = keycodec.sort_keys(matrix, padded_n)
+        top_keys, top_columns = batched_reduce_topk(keys, network_k, columns)
+        top_indices = keycodec.key_rows(top_keys, top_columns, k)
+        top_values = np.take_along_axis(matrix, top_indices, axis=1)
 
         # The single-row kernel pipeline, traffic scaled by the batch size but
         # launch count unchanged (one fused launch covers all rows).
@@ -98,17 +94,6 @@ def batched_topk(
         from repro.observability.instrument import record_trace
 
         span.set(simulated_ms=record_trace(trace, device))
-
-        top_values = values[:, :k].copy()
-        top_indices = indices[:, :k].copy()
-        # Padding slots and NaN columns run as the dtype's minimum, so only
-        # rows whose top-k reaches it can hold one; they get the single-row
-        # repair, which keeps the two tie-breakings bit-identical.
-        suspect = (top_values == padding_sentinel(matrix.dtype)).any(axis=1)
-        for row in np.flatnonzero(suspect):
-            top_values[row], top_indices[row] = repair_padded_indices(
-                matrix[row], top_values[row], top_indices[row], n
-            )
     return TopKResult(
         values=top_values,
         indices=top_indices,

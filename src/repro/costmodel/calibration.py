@@ -343,7 +343,7 @@ def base_model_for(kernel: str, device: DeviceSpec) -> CostModel | None:
     """The uncalibrated Section 7 model for a registry kernel name.
 
     The engine's capture path uses this to price the kernel it is about
-    to observe; kernels without a predictive model (the CPU-heap oracle,
+    to observe; kernels without a predictive model (the CPU heap,
     merge nodes) answer None and are simply not sampled.
     """
     from repro.costmodel.bitonic_model import BitonicModel

@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.algorithms import keys as keycodec
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
 from repro.bitonic.network import topk_total_comparisons
-from repro.bitonic.operators import local_sort, merge, rebuild
-from repro.bitonic.topk import pad_rows, padding_sentinel, sentinel_rows
+from repro.bitonic.operators import local_sort, merge, rebuild, reduce_topk
 from repro.cpu.spec import I7_6900, CpuSpec
 from repro.errors import InvalidParameterError
 from repro.gpu.counters import ExecutionTrace
@@ -45,8 +45,8 @@ def _next_power_of_two(value: int) -> int:
 
 
 def vector_sort_reduce(
-    vector: np.ndarray, k: int, payload: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    vector: np.ndarray, k: int, payload: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """SortReducer over one vector: unsorted -> k-runs, reduced 16x."""
     local_sort(vector, k, payload)
     reductions = 0
@@ -59,8 +59,8 @@ def vector_sort_reduce(
 
 
 def vector_bitonic_reduce(
-    vector: np.ndarray, k: int, payload: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+    vector: np.ndarray, k: int, payload: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """BitonicReducer over one vector: k-bitonic runs in, reduced 16x."""
     reductions = 0
     while reductions < 4 and len(vector) > k:
@@ -73,49 +73,30 @@ def vector_bitonic_reduce(
 def partition_bitonic_topk(
     partition: np.ndarray, k: int, base_index: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Algorithm 5: one core's streaming reduction of its partition."""
-    n = _next_power_of_two(max(len(partition), k))
-    values = pad_rows(partition, n)
-    payload = np.full(n, -1, dtype=np.int64)
-    payload[: len(partition)] = np.arange(len(partition)) + base_index
+    """Algorithm 5: one core's streaming reduction of its partition.
 
-    pieces_values: list[np.ndarray] = []
-    pieces_payload: list[np.ndarray] = []
+    Returns the partition's top-k rows (all of them when it holds fewer)
+    as ``(values, global rows)`` in the canonical order.
+    """
+    n = _next_power_of_two(max(len(partition), k))
+    keys, rows = keycodec.sort_keys(partition, n)
+
+    pieces: list[tuple[np.ndarray, np.ndarray | None]] = []
     for start in range(0, n, VECTOR_SIZE):
-        chunk = values[start : start + VECTOR_SIZE].copy()
-        chunk_payload = payload[start : start + VECTOR_SIZE].copy()
-        if len(chunk) < max(2 * k, 2):
-            pieces_values.append(chunk)
-            pieces_payload.append(chunk_payload)
-            continue
-        reduced, reduced_payload = vector_sort_reduce(chunk, k, chunk_payload)
-        pieces_values.append(reduced)
-        pieces_payload.append(reduced_payload)
-    current = np.concatenate(pieces_values)
-    current_payload = np.concatenate(pieces_payload)
+        chunk = keys[start : start + VECTOR_SIZE].copy()
+        chunk_rows = None if rows is None else rows[start : start + VECTOR_SIZE].copy()
+        if len(chunk) >= max(2 * k, 2):
+            chunk, chunk_rows = vector_sort_reduce(chunk, k, chunk_rows)
+        pieces.append((chunk, chunk_rows))
+    current = np.concatenate([chunk for chunk, _ in pieces])
+    current_rows = None if rows is None else np.concatenate([r for _, r in pieces])
 
     # Cross-vector phases: piece boundaries break the run-direction
-    # alternation, so re-establish the k-run format before each merge.
-    while len(current) > k:
-        if len(current) % (2 * k) != 0:
-            pad = 2 * k - (len(current) % (2 * k))
-            filler = np.full(pad, current.min(), dtype=current.dtype)
-            current = np.concatenate([current, filler])
-            current_payload = np.concatenate(
-                [current_payload, np.full(pad, -1, dtype=np.int64)]
-            )
-        local_sort(current, k, current_payload)
-        current, current_payload = merge(current, k, current_payload)
-    order = np.argsort(current, kind="stable")[::-1]
-    current, current_payload = current[order], current_payload[order]
-    if partition.dtype.kind == "f" and np.isnan(partition).any():
-        # NaN rows ran as the sentinel (pad_rows); rank the tied tail as
-        # the oracle does: real minima, then NaN rows, then padding.
-        rows = sentinel_rows(partition) + base_index
-        tail = np.flatnonzero(current == padding_sentinel(partition.dtype))
-        current_payload[tail] = -1
-        current_payload[tail[: len(rows)]] = rows[: len(tail)]
-    return current, current_payload
+    # alternation, so the reduction re-establishes the k-run format first.
+    top, top_rows = reduce_topk(current, k, current_rows)
+    local = keycodec.key_rows(top, top_rows, k)
+    local = local[local < len(partition)]
+    return partition[local], local + base_index
 
 
 class CpuBitonicTopK(TopKAlgorithm):
@@ -147,27 +128,19 @@ class CpuBitonicTopK(TopKAlgorithm):
         partitions = np.array_split(data, self.cpu.cores)
         offsets = np.cumsum([0] + [len(p) for p in partitions[:-1]])
         values_list = []
-        payload_list = []
+        rows_list = []
         for partition, offset in zip(partitions, offsets):
             if len(partition) == 0:
                 continue
-            values, payload = partition_bitonic_topk(
+            values, rows = partition_bitonic_topk(
                 partition, min(network_k, _next_power_of_two(max(len(partition), 1))),
                 int(offset),
             )
             values_list.append(values)
-            payload_list.append(payload)
+            rows_list.append(rows)
         all_values = np.concatenate(values_list)
-        all_payload = np.concatenate(payload_list)
-        valid = all_payload >= 0
-        all_values = all_values[valid]
-        all_payload = all_payload[valid]
-        order = np.argsort(all_values, kind="stable")[::-1]
-        if data.dtype.kind == "f":
-            # NaN rows ran as the sentinel; they rank after real minima.
-            nan_last = np.argsort(np.isnan(data[all_payload[order]]), kind="stable")
-            order = order[nan_last]
-        order = order[:k]
+        all_rows = np.concatenate(rows_list)
+        order = keycodec.canonical_order(keycodec.encode(all_values), all_rows)[:k]
 
         trace = ExecutionTrace()
         counters = trace.launch("cpu-bitonic")
@@ -177,5 +150,5 @@ class CpuBitonicTopK(TopKAlgorithm):
         scan_seconds = self.cpu.scan_time(float(model) * data.dtype.itemsize)
         counters.fixed_seconds = max(compute_seconds, scan_seconds)
         trace.notes["comparisons"] = float(comparisons)
-        indices = all_payload[order]
+        indices = all_rows[order]
         return self._result(data[indices], indices, trace, k, n, model_n)

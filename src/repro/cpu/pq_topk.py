@@ -25,6 +25,7 @@ import math
 
 import numpy as np
 
+from repro.algorithms import keys as keycodec
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
 from repro.cpu.heap import MinHeap
 from repro.cpu.spec import I7_6900, CpuSpec
@@ -81,9 +82,9 @@ class _CpuHeapTopK(TopKAlgorithm):
         # Per-core contiguous streams; insert decisions via the per-core
         # running top-k state (decision-equivalent to a real heap).
         cores = self.cpu.cores
-        streams = _partition_streams(data, cores)
+        codes = keycodec.encode(data)
+        streams = _partition_streams(codes, cores)
         offsets = np.cumsum([0] + [len(s) for s in streams[:-1]])
-        candidate_values: list[np.ndarray] = []
         candidate_indices: list[np.ndarray] = []
         total_inserts = 0
         for stream, offset in zip(streams, offsets):
@@ -91,32 +92,28 @@ class _CpuHeapTopK(TopKAlgorithm):
                 continue
             kk = min(k, len(stream))
             top, inserts = self._stream_topk(stream, kk)
-            candidate_values.append(stream[top])
             candidate_indices.append(top + offset)
             total_inserts += inserts
-        values = np.concatenate(candidate_values)
         indices = np.concatenate(candidate_indices)
-        order = np.argsort(values, kind="stable")[::-1][:k]
+        indices = indices[keycodec.canonical_order(codes[indices], indices)[:k]]
 
         trace = self._build_trace(model, n, k, data.dtype.itemsize, total_inserts)
-        return self._result(
-            values[order].copy(), indices[order].copy(), trace, k, n, model_n
-        )
+        return self._result(data[indices], indices, trace, k, n, model_n)
 
     @staticmethod
     def _stream_topk(stream: np.ndarray, k: int) -> tuple[np.ndarray, int]:
-        """Exact top-k positions of one stream plus its insert count.
+        """Exact canonical top-k positions of one stream of codes plus its
+        insert count.
 
         The running threshold is the k-th largest of the prefix; an element
-        inserts when it beats the threshold.  Vectorized chunk-wise: chunks
-        whose maximum stays below the entering threshold are skipped (the
-        common case for uniform data), others are resolved element-wise.
+        inserts when it beats the threshold, evicting the latest row among
+        the lowest codes.  Vectorized chunk-wise: chunks whose maximum stays
+        below the entering threshold are skipped (the common case for
+        uniform data), others are resolved element-wise.
         """
-        state = np.full(k, -np.inf)
-        state_pos = np.full(k, -1, dtype=np.int64)
         fill = min(k, len(stream))
-        state[:fill] = stream[:fill]
-        state_pos[:fill] = np.arange(fill)
+        state = stream[:fill].copy()
+        state_pos = np.arange(fill, dtype=np.int64)
         inserts = fill
         chunk = 4096
         position = fill
@@ -128,13 +125,14 @@ class _CpuHeapTopK(TopKAlgorithm):
                 continue
             for offset in np.flatnonzero(block > threshold):
                 value = block[offset]
-                slot = state.argmin()
-                if value > state[slot]:
+                lowest = state.min()
+                if value > lowest:
+                    slot = np.where(state == lowest, state_pos, -1).argmax()
                     state[slot] = value
                     state_pos[slot] = position + offset
                     inserts += 1
             position += len(block)
-        return state_pos[state_pos >= 0], inserts
+        return state_pos, inserts
 
     def _build_trace(
         self, model_n: int, functional_n: int, k: int, width: int, inserts: int

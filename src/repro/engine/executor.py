@@ -54,7 +54,7 @@ from repro.plan import (
 CANDIDATE_ROW_BYTES = 8
 
 #: Bounded retries of the engine's internal top-k selection on an
-#: injected device fault before it falls back to the CPU oracle.
+#: injected device fault before it falls back to the CPU heap.
 FUNCTIONAL_RETRIES = 2
 
 STRATEGIES = ("sort", "topk", "fused")
@@ -243,8 +243,8 @@ class QueryExecutor:
         The chain mirrors the engine's fault posture exactly: the chosen
         operator (the approximate bucketed selection when planned, the
         partition-parallel Merge when the executor holds multiple shards,
-        the bitonic network otherwise), anchored on the CPU oracle —
-        bounded kernel retries happen *within* a stage, the oracle is the
+        the bitonic network otherwise), anchored on the CPU heap —
+        bounded kernel retries happen *within* a stage, the heap is the
         terminal stage that cannot lose a device.  Sharding applies only
         to exact single-key top-k strategies: approximate plans and the
         full-sort baseline stay single-device.
@@ -260,7 +260,7 @@ class QueryExecutor:
             ranked.append((kernel, None))
             if kernel != "bitonic":
                 # The bitonic network stays in the chain: a radix-planned
-                # selection degrades through it before the CPU oracle.
+                # selection degrades through it before the CPU heap.
                 ranked.append(("bitonic", None))
         fallback = build_fallback(
             ranked,

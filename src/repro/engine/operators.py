@@ -89,8 +89,8 @@ class SelectionOperator(IncrementalOperator):
     :class:`~repro.plan.Fallback` alternatives over the buffered rows —
     each kernel stage gets ``fault_retries`` bounded retries on an
     injected device fault, a stage out of resources is skipped, and the
-    terminal ``cpu-heap`` stage is the oracle, which has no device to
-    lose and answers exactly.  ``emit`` returns
+    terminal ``cpu-heap`` stage has no device to lose and answers in the
+    same canonical order as every exact kernel.  ``emit`` returns
     the selected indices plus the operator's own trace for stages that
     model one (the approximate and sharded operators, and the adaptive
     radix select) — None means "account with the exact query-level

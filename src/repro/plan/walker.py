@@ -5,9 +5,9 @@ Every front door that executes a fallback — :func:`repro.topk`,
 :class:`~repro.resilience.ResilientExecutor` — runs it through
 :func:`walk` and differs only in its :class:`FailurePolicy`
 (``docs/resilience.md`` tabulates them).  The terminal ``cpu-heap``
-stage runs with fault injection suspended and answers with
-:func:`~repro.algorithms.base.reference_topk` (the canonical order, NaN
-last); its trace still comes from the CPU heap.  Every attempt counts
+stage runs with fault injection suspended and answers with the CPU heap,
+which returns the canonical order (value descending, lower row first, NaN
+last) like every exact kernel.  Every attempt counts
 once in ``plan.attempts{node,outcome}``, outcome being ``ok``, ``retry``
 (tried again on the same node), ``skip`` (on to the next node) or
 ``raise`` (the error reaches the caller).
@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, Callable, ClassVar
 import numpy as np
 
 from repro import observability as obs
-from repro.algorithms.base import TopKResult, reference_topk
+from repro.algorithms.base import TopKResult
 from repro.errors import ResourceExhaustedError
 from repro.gpu import faults
 from repro.gpu.counters import KernelCounters
@@ -135,7 +135,6 @@ def _attempt(node, name, data, k, policy, device, flags, model_n) -> TopKResult:
         # No simulated device to lose and no PCIe copy to corrupt.
         with faults.suspended():
             result = runner.run(data, k, model_n=model_n)
-        result.values, result.indices = reference_topk(data, k)
     else:
         result = runner.run(data, k, model_n=model_n)
         if policy.verify:

@@ -32,13 +32,12 @@ throughput, so finish times equalize and a slower card still helps;
 identical devices take the balanced split without consulting any cost
 model.
 
-Functional answers come from the canonical total order (the reference
-oracle: value descending, lower global row index first, NaN last) — the
-order the k-way merge reproduces, which is what makes sharded results
-bit-equal to single-device results even on NaN-laden inputs where
-comparison networks are documented to be unpredictable.  The per-shard
-*inner kernel* (the planner's winner at per-shard scale) still runs on
-every shard's slice: its trace is what the concurrent phase accounts.
+Each shard answers with its *inner kernel* (the planner's winner at
+per-shard scale) on its slice, and the same run's trace is what the
+concurrent phase accounts.  Every exact kernel returns the canonical
+total order (value descending, lower row first, NaN last), and so does
+the k-way merge, which is what makes sharded results bit-equal to
+single-device results, ties and NaN included.
 
 The input is assumed device-resident and pre-partitioned — no PCIe
 scatter is charged; only candidates (k values + row ids per shard) cross
@@ -54,12 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro import observability as obs
-from repro.algorithms.base import (
-    TopKAlgorithm,
-    TopKResult,
-    reference_topk,
-    validate_topk_args,
-)
+from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
 from repro.algorithms.registry import create
 from repro.errors import DeviceLostError, InvalidParameterError
 from repro.gpu import faults
@@ -273,17 +267,16 @@ class ShardedTopK(TopKAlgorithm):
             slice_ = data[start:stop]
             local_k = min(k, len(slice_))
             shard_model = max(local_k, int(round(model * len(slice_) / n)))
-            values, local_indices = reference_topk(slice_, local_k)
             device = self.devices[index]
             inner = self._make_inner(inner_name, device)
-            traced = inner.run(slice_, local_k, model_n=shard_model)
+            result = inner.run(slice_, local_k, model_n=shard_model)
             return ShardRun(
                 index=index,
                 start=start,
                 stop=stop,
-                values=values,
-                indices=local_indices + start,
-                seconds=trace_time(traced.trace, device).total,
+                values=result.values,
+                indices=result.indices + start,
+                seconds=trace_time(result.trace, device).total,
             )
 
         with ThreadPoolExecutor(max_workers=min(len(pieces), 16)) as pool:

@@ -1,10 +1,11 @@
 """Deterministic k-way merge of per-shard top-k candidates.
 
 Merge semantics are *exactly* the library's canonical total order — the
-one :func:`repro.algorithms.base.reference_topk` defines and every exact
-algorithm reproduces:
+order of :func:`repro.algorithms.keys.canonical_order`, which every exact
+kernel and the :func:`repro.algorithms.base.reference_topk` oracle share:
 
-* values descending (IEEE-754 NaN ordered last for floats);
+* values descending (IEEE-754 NaN ordered last for floats, -0.0 equal to
+  +0.0);
 * ties broken by lower **global** row index first.
 
 Because shards are contiguous row ranges, adding each range's start to
@@ -18,18 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-def descending_keys(values: np.ndarray) -> np.ndarray:
-    """Sort keys whose *ascending* order is the canonical descending value
-    order.  Mirrors the key transform of ``reference_topk`` exactly:
-    negation for floats (NaN stays NaN and sorts last), complement for
-    uint64 (negation would wrap), widened negation for other integers.
-    """
-    if values.dtype.kind == "f":
-        return -values
-    if values.dtype == np.uint64:
-        return np.iinfo(np.uint64).max - values
-    return -values.astype(np.int64)
+from repro.algorithms import keys as keycodec
 
 
 def merge_topk(
@@ -39,10 +29,9 @@ def merge_topk(
 
     ``values``/``indices`` are the gathered candidates (global row
     indices); returns ``(values, indices)`` of the k winners in canonical
-    order.  ``np.lexsort`` keys: primary = descending-value transform,
-    secondary = global index — a stable two-key sort, so equal values
-    (and NaN groups) resolve to the lower global row, matching the
-    single-device reference bit for bit.
+    order: value codes descending, then the lower global index, so equal
+    values (and NaN groups) resolve to the lower global row, matching the
+    single-device answer bit for bit.
     """
-    order = np.lexsort((indices, descending_keys(values)))[:k]
+    order = keycodec.canonical_order(keycodec.encode(values), indices)[:k]
     return values[order], indices[order]

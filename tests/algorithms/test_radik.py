@@ -94,14 +94,15 @@ class TestAdversarialInputs:
         assert np.array_equal(result.values, expected_values)
         assert np.array_equal(result.indices, expected_indices)
 
-    def test_nan_orders_above_infinity(self, rng):
-        """The same documented radix-family artifact as radix-select:
-        NaN's key code sits above +inf's."""
+    def test_nan_orders_last(self, rng):
+        """NaN takes the lowest canonical code, so it ranks below every
+        real value, as in the oracle."""
         data = rng.random(512).astype(np.float32)
         data[9] = np.nan
         data[17] = np.inf
         result = RadiKTopK().run(data, 2)
-        assert result.indices.tolist() == [9, 17]
+        assert result.indices.tolist() == reference_topk(data, 2)[1].tolist()
+        assert result.indices[0] == 17 and 9 not in result.indices
 
     def test_k_equals_n_runs_zero_passes(self, rng):
         data = rng.integers(0, 16, 512).astype(np.float32)

@@ -185,14 +185,15 @@ class TestAdversarialInputs:
         assert np.array_equal(result.values, expected_values)
         assert np.array_equal(result.indices, expected_indices)
 
-    def test_nan_orders_above_infinity(self, rng):
-        """The documented radix-family artifact: NaN's key code exceeds
-        +inf's, so NaN rows surface first, then the infinities."""
+    def test_nan_orders_last(self, rng):
+        """NaN takes the lowest canonical code, so the infinity surfaces
+        first and the NaN row never does."""
         data = rng.random(512).astype(np.float32)
         data[7] = np.nan
         data[11] = np.inf
         result = RadixSelectTopK().run(data, 2)
-        assert result.indices.tolist() == [7, 11]
+        assert result.indices.tolist() == reference_topk(data, 2)[1].tolist()
+        assert result.indices[0] == 11 and 7 not in result.indices
 
     def test_k_equals_n_is_a_full_canonical_sort(self, rng):
         data = rng.integers(0, 4, 256).astype(np.float32)

@@ -125,7 +125,7 @@ class TestMeasuredRecall:
 
     def test_special_values_match_radix_ordering(self):
         # Same policy as tests/test_special_values.py: +/-inf are ordinary
-        # order extremes, NaN is a distinct code above +inf.
+        # order extremes, NaN is a distinct code below -inf.
         exact = np.array([np.inf, 1.0, -np.inf], dtype=np.float32)
         assert measured_recall(exact.copy(), exact) == 1.0
         with_nan = np.array([np.nan, np.inf, 1.0], dtype=np.float32)

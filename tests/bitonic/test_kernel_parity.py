@@ -1,13 +1,14 @@
 """Differential parity of the tile-major kernel against a gather executor.
 
 ``_reference_reduce`` steps the network in logical order with fancy-index
-gathers, the way the bitonic operators ran before the tile-major layout.
-The kernel must reproduce its exchange decisions exactly: bit-identical
-values and payload, single-row and batched, for every dtype family and
-the special floats.  A second check pins what the per-step counters of a
-traced run mean: the compare-exchanges stepped through ``apply_step`` are
-the network's, so ``bitonic.compare_exchanges`` and
-``bitonic.padding_share`` keep their meaning.
+gathers, the way the bitonic operators ran before the tile-major layout,
+comparing (value, payload) pairs: a lower value, or an equal value with a
+higher payload, ranks lower.  The kernel must reproduce its exchange
+decisions exactly: bit-identical values and payload, single-row and
+batched, for every dtype family and the NaN-free special floats.  A
+second check pins what the per-step counters of a traced run mean: the
+compare-exchanges stepped through ``apply_step`` are the network's, so
+``bitonic.compare_exchanges`` keeps its meaning.
 """
 
 import numpy as np
@@ -26,11 +27,16 @@ from repro.bitonic.operators import reduce_topk
 from repro.core.batched import batched_reduce_topk
 
 
+def _less(a, b, payload_a, payload_b):
+    return (a < b) | ((a == b) & (payload_a > payload_b))
+
+
 def _gather_step(values, step, payload):
     t = np.arange(len(values) // 2)
     i = (t << 1) - (t & (step.inc - 1))
     partner = i + step.inc
-    swap = np.logical_xor((i & step.direction_period) == 0, values[i] < values[partner])
+    less = _less(values[i], values[partner], payload[i], payload[partner])
+    swap = np.logical_xor((i & step.direction_period) == 0, less)
     for array in (values, payload):
         left, right = array[i], array[partner]
         array[i] = np.where(swap, right, left)
@@ -43,13 +49,15 @@ def _reference_reduce(values, k, payload):
             _gather_step(values, step, payload)
     while len(values) > k:
         pairs, payload_pairs = values.reshape(-1, 2, k), payload.reshape(-1, 2, k)
-        keep = pairs[:, 0] >= pairs[:, 1]
+        keep = ~_less(
+            pairs[:, 0], pairs[:, 1], payload_pairs[:, 0], payload_pairs[:, 1]
+        )
         values = np.where(keep, pairs[:, 0], pairs[:, 1]).reshape(-1)
         payload = np.where(keep, payload_pairs[:, 0], payload_pairs[:, 1]).reshape(-1)
         if len(values) > k:
             for step in rebuild_steps(k):
                 _gather_step(values, step, payload)
-    order = np.argsort(values, kind="stable")[::-1]
+    order = np.lexsort((-payload, values))[::-1]
     return values[order], payload[order]
 
 

@@ -41,12 +41,6 @@ def _run_under_fault(data, k, algorithm, site, fault, silent=False, seed=0):
     return "exact", result
 
 
-#: Kernels ranking by radix codes, which order NaN above +inf — a
-#: documented artifact (``tests/test_special_values.py``).  A fault that
-#: exhausts the bitonic kernel's resources falls back to one of them.
-NAN_FIRST = ("radix-select", "radik")
-
-
 def _assert_nan_answer(data, k, fault):
     injector = FaultInjector(
         seed=0,
@@ -59,9 +53,9 @@ def _assert_nan_answer(data, k, fault):
         return
     assert len(result.values) == len(result.indices) == k
     assert np.array_equal(data[result.indices], result.values, equal_nan=True)
-    if result.algorithm not in NAN_FIRST:
-        expected, _ = reference_topk(data, k)
-        assert np.array_equal(result.values, expected, equal_nan=True)
+    expected, rows = reference_topk(data, k)
+    assert np.array_equal(result.values, expected, equal_nan=True)
+    assert np.array_equal(result.indices, rows)
 
 
 @pytest.fixture(scope="module")

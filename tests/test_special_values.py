@@ -5,13 +5,12 @@ Float inputs may contain infinities and signed zeros; the library's policy
 
 * +inf / -inf participate normally (they are ordinary IEEE-754 order
   extremes);
-* -0.0 ties with 0.0 (numeric equality governs; the radix bit transform
-  places -0.0 immediately below +0.0, which is consistent with a stable
-  numeric order);
-* NaN: the radix transform orders NaN above +inf (a documented
-  artifact); the bitonic kernels rank NaN below every real value, as the
-  oracle does (``tests/bitonic/test_nan_order.py``).  These tests pin
-  down the *documented* behaviours, not accidental ones.
+* -0.0 ties with 0.0 (numeric equality governs; the canonical key codec
+  gives both the same code, so ties break on the row);
+* NaN ranks below every real value, -inf included: the codec maps every
+  NaN to code 0, and every kernel orders NaN last, as the oracle does
+  (``tests/bitonic/test_nan_order.py``).  These tests pin down the
+  *documented* behaviours, not accidental ones.
 """
 
 import numpy as np
@@ -64,22 +63,22 @@ class TestSignedZero:
     def test_radix_codes_order_signed_zero_consistently(self):
         values = np.array([-0.0, 0.0], dtype=np.float32)
         codes = keycodec.encode(values)
-        assert codes[0] < codes[1]  # -0.0 immediately below +0.0
+        assert codes[0] == codes[1]  # -0.0 takes +0.0's code
 
 
-class TestNanDocumentedArtifact:
-    def test_radix_transform_puts_nan_above_inf(self):
-        values = np.array([np.nan, np.inf, 1.0], dtype=np.float32)
+class TestNanLast:
+    def test_codec_puts_nan_below_negative_infinity(self):
+        values = np.array([np.nan, -np.nan, -np.inf, np.inf, 1.0], dtype=np.float32)
         codes = keycodec.encode(values)
-        assert codes[0] > codes[1] > codes[2]
+        assert codes[0] == codes[1] == 0
+        assert codes[1] < codes[2] < codes[4] < codes[3]
 
-    def test_radix_select_surfaces_nan_first(self):
-        """Consequence of the bit ordering — documented, exercised here so
-        a behaviour change is noticed."""
+    def test_radix_select_surfaces_nan_last(self):
         data = np.ones(512, dtype=np.float32)
         data[3] = np.nan
-        result = create("radix-select").run(data, 1)
-        assert result.indices[0] == 3
+        result = create("radix-select").run(data, 512)
+        assert result.indices[0] == 0
+        assert result.indices[-1] == 3
 
 
 class TestExtremeMagnitudes:
