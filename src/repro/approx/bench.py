@@ -33,7 +33,7 @@ from repro.bitonic.topk import BitonicTopK
 from repro.approx.bucketed import ApproxBucketTopK
 from repro.approx.config import ApproxConfig, default_config
 from repro.approx.recall import expected_recall, measured_recall
-from repro.bench.common import BASELINE_TOLERANCE, drifted
+from repro.bench.common import BASELINE_TOLERANCE, drifted, incomparable
 from repro.errors import InvalidParameterError
 from repro.gpu.device import DeviceSpec, get_device
 from repro.gpu.timing import trace_time
@@ -179,16 +179,25 @@ class ApproxBenchReport:
                 return point
         return None
 
+    def gates(self) -> list[tuple[bool, str]]:
+        """The paper-level claim: >= 2x simulated speedup at recall >= 0.99
+        on the headline shape; a sweep without the headline gates nothing."""
+        head = self.headline
+        return [
+            (
+                head is None
+                or (
+                    head.speedup >= MIN_HEADLINE_SPEEDUP
+                    and head.measured >= MIN_HEADLINE_RECALL
+                ),
+                "the headline speedup/recall gate failed",
+            ),
+        ]
+
     @property
     def passed(self) -> bool:
-        """The paper-level claim: >= 2x simulated speedup at recall >= 0.99
-        on the headline shape."""
-        head = self.headline
-        return (
-            head is not None
-            and head.speedup >= MIN_HEADLINE_SPEEDUP
-            and head.measured >= MIN_HEADLINE_RECALL
-        )
+        """The sweep carries the headline and its gate holds."""
+        return self.headline is not None and all(ok for ok, _ in self.gates())
 
     def to_dict(self) -> dict:
         head = self.headline
@@ -313,14 +322,9 @@ def check_baseline(report: ApproxBenchReport, baseline: dict) -> list[str]:
     :data:`BASELINE_TOLERANCE`) and recalls (within
     :data:`RECALL_TOLERANCE` of the baseline) — never wall clock.
     """
-    if baseline.get("format") != REPORT_FORMAT:
-        return [f"baseline is not a {REPORT_FORMAT} document"]
-    if baseline.get("workload") != report.workload.to_dict():
-        return [
-            "baseline workload differs from the benchmarked sweep: "
-            f"{baseline.get('workload')} vs {report.workload.to_dict()}"
-        ]
-    problems = []
+    problems = incomparable(baseline, REPORT_FORMAT, report.workload.to_dict())
+    if problems:
+        return problems
     measured_points = {
         (p.model_n, p.k, p.requested_buckets): p for p in report.points
     }

@@ -269,13 +269,27 @@ class CalibrationReport:
     def default_unchanged(self) -> bool:
         return all(decision.default_unchanged for decision in self.decisions)
 
+    def gates(self) -> list[tuple[bool, str]]:
+        return [
+            (
+                self.q_error_improves,
+                "post-calibration p95 Q-error exceeds pre-calibration",
+            ),
+            (
+                self.decisions_optimal,
+                "a fitted correction drifted a planner decision away from "
+                "the observed optimum",
+            ),
+            (
+                self.default_unchanged,
+                "replanning with calibrate=False did not reproduce the "
+                "baseline decisions",
+            ),
+        ]
+
     @property
     def passed(self) -> bool:
-        return (
-            self.q_error_improves
-            and self.decisions_optimal
-            and self.default_unchanged
-        )
+        return all(ok for ok, _ in self.gates())
 
     def to_dict(self) -> dict:
         return {

@@ -24,6 +24,7 @@ from repro.bench.common import BASELINE_TOLERANCE
 from repro.bench.figures import REGISTRY
 from repro.bench.history import compare_run, load_run, save_run
 from repro.bench.report import format_figure
+from repro.errors import ReproError, exit_code
 
 #: The fast subset rerun on every CI push (well under a second combined;
 #: the big sweep figures take seconds to minutes each).
@@ -94,6 +95,15 @@ def _command_ci(arguments) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     arguments = build_parser().parse_args(argv)
+    try:
+        return _run(arguments)
+    except ReproError as error:
+        # The typed-error contract of ``python -m repro``.
+        print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
+        return exit_code(error)
+
+
+def _run(arguments) -> int:
     if arguments.list:
         for figure_id in REGISTRY:
             print(figure_id)

@@ -1,23 +1,30 @@
-"""Shared bench-CLI plumbing: report output, gates, and baseline checks.
+"""The bench registry and the one contract every bench command follows.
 
-Every benchmark front door (``serve-bench``, ``approx-bench``,
-``shard-bench``, ``slo-bench``, ``radix-bench``, ``stream-bench``,
-``calibrate``) follows one contract:
+:data:`BENCHES` maps each benchmark front door (``serve-bench``,
+``approx-bench``, ``shard-bench``, ``slo-bench``, ``radix-bench``,
+``stream-bench``, ``calibrate``) to its runner, the workload its flags
+fill, its flags and its committed baseline. ``python -m repro`` builds
+one subcommand per entry and runs them all through one command path;
+CI's ``smoke`` matrix has one entry per bench, and a tier-1 test pins
+the two together. Every bench follows one contract:
 
 * ``--json`` / ``--out`` — print the report as JSON (or its rendered
   text) and optionally write the JSON artifact to a path CI uploads;
-* property gates — each failed gate prints one ``error: ...`` line on
-  stderr and the command exits non-zero;
+* gates — each report's ``gates()`` returns ``(ok, message)`` pairs, the
+  one source of its ``passed`` verdict; each failed gate prints one
+  ``error: ...`` line on stderr and the command exits 1;
 * ``--baseline`` — compare headline numbers against a committed
   ``BENCH_*.json`` within the shared relative tolerance
   (:data:`BASELINE_TOLERANCE`), printing one ``baseline regression:``
   line per drifted number.
 
 This module is that contract, written once: argument wiring
-(:func:`add_report_arguments`), artifact/print plumbing
-(:func:`write_report`), gate evaluation (:func:`apply_gates`), the
-tolerance predicate every ``check_baseline`` uses (:func:`drifted`), and
-the end-to-end tail a bench command returns (:func:`finish_report`).
+(:func:`add_bench_arguments`, :func:`add_report_arguments`),
+artifact/print plumbing (:func:`write_report`), gate evaluation
+(:func:`apply_gates`), the typed JSON loader for baselines and stores
+(:func:`load_json`), the preamble and tolerance predicate every
+``check_baseline`` uses (:func:`incomparable`, :func:`drifted`), and the
+end-to-end tail a bench command returns (:func:`finish_report`).
 """
 
 from __future__ import annotations
@@ -25,7 +32,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterable
+
+from repro.costmodel.base import PROFILES
+from repro.errors import InvalidParameterError
+from repro.gpu.device import list_devices
 
 #: Relative tolerance of every BENCH_*.json baseline gate: a measured
 #: number may drift this fraction from the committed expectation before
@@ -47,6 +60,279 @@ def drifted(
     return abs(measured - expected) > tolerance * max(abs(expected), 1e-9)
 
 
+def incomparable(baseline: dict, report_format: str, workload: dict) -> list[str]:
+    """Why ``baseline`` cannot gate this run, if it cannot (else ``[]``).
+
+    A baseline of another report format, or of another workload, has no
+    numbers comparable with the run's; every ``check_baseline`` returns
+    this problem alone before it compares any number.
+    """
+    if baseline.get("format") != report_format:
+        return [f"baseline is not a {report_format} document"]
+    if baseline.get("workload") != workload:
+        return [
+            "baseline workload differs from the benchmarked workload: "
+            f"{baseline.get('workload')} vs {workload}"
+        ]
+    return []
+
+
+def load_json(path: str | Path, what: str):
+    """Parse a JSON file named on the command line; a missing or
+    malformed file is an :class:`InvalidParameterError` (exit 3), not a
+    failed gate."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as error:
+        raise InvalidParameterError(
+            f"cannot load {what} from {path}: {error}"
+        ) from error
+
+
+# -- The registry -----------------------------------------------------------
+
+
+def flag(*names: str, **options) -> tuple:
+    """One ``add_argument`` call, as data."""
+    return names, options
+
+
+#: The simulated device every bench runs on.
+DEVICE = flag("--device", default="titan-x-maxwell", choices=list_devices())
+#: Marks where the shared ``--json`` / ``--out`` / ``--baseline`` flags go.
+REPORT = flag()
+
+
+@dataclass(frozen=True)
+class Bench:
+    """One benchmark front door, ``python -m repro <name>``.
+
+    ``module`` is imported only when the command runs. It holds the
+    ``runner``, the ``workload`` dataclass whose fields the flags of the
+    same name override (``None``: the runner takes the flags as
+    keywords), ``REPORT_FORMAT`` and, when the bench has a committed
+    ``baseline``, ``check_baseline``. The runner's report carries its own
+    gates. ``flags`` lists the ``add_argument`` calls in ``--help`` order.
+    """
+
+    name: str
+    help: str
+    module: str
+    runner: str
+    workload: str | None
+    baseline: str | None
+    flags: tuple
+
+    @property
+    def settings(self) -> tuple[str, ...]:
+        """Attribute names of the bench's own flags (argparse's dest rule)."""
+        return tuple(
+            spec[1].get("dest", spec[0][0].lstrip("-").replace("-", "_"))
+            for spec in self.flags
+            if spec is not DEVICE and spec is not REPORT
+        )
+
+
+_SEED = flag("--seed", type=int, default=None)
+_FUNCTIONAL_CAP = flag(
+    "--functional-cap", type=int, default=None,
+    help="functional array size cap (the trace still models --n)",
+)
+
+BENCHES = (
+    Bench(
+        "serve-bench",
+        help="replay a synthetic workload through the serving layer and "
+             "compare against sequential execution",
+        module="repro.serving.bench",
+        runner="run_serving_benchmark",
+        workload="Workload",
+        baseline="benchmarks/baselines/BENCH_serving.json",
+        flags=(
+            flag("--queries", type=int, default=1000),
+            flag("--shapes", type=int, default=4,
+                 help="number of distinct (n, k) shapes in the stream"),
+            flag("--n", type=int, default=512, help="row length"),
+            flag("--k", type=int, default=8,
+                 help="base k (shape i uses k + i)"),
+            flag("--seed", type=int, default=0),
+            DEVICE,
+            flag("--max-batch", type=int, default=128,
+                 help="largest number of queries fused into one launch"),
+            flag("--no-cache", action="store_true",
+                 help="disable the plan cache (replan every query)"),
+            flag("--no-batch", action="store_true",
+                 help="disable cross-query batching (serve per query)"),
+            REPORT,
+        ),
+    ),
+    Bench(
+        "approx-bench",
+        help="sweep the bucketed approximate top-k against the exact "
+             "bitonic plan: simulated speedup vs. measured recall",
+        module="repro.approx.bench",
+        runner="run_approx_benchmark",
+        workload="ApproxWorkload",
+        baseline="benchmarks/baselines/BENCH_approx.json",
+        flags=(
+            flag("--n", type=int, action="append", dest="ns", default=None,
+                 help="modeled input size; repeatable (default: 2^20 and "
+                      "2^24)"),
+            flag("--k", type=int, action="append", dest="ks", default=None,
+                 help="result size; repeatable (default: 64 and 256)"),
+            flag("--buckets", type=int, action="append", default=None,
+                 help="bucket count; repeatable; 0 means the planner "
+                      "default (default: 0, 16, 64)"),
+            flag("--functional-cap", type=int, default=1 << 18,
+                 help="functional array size cap (the trace still models "
+                      "--n)"),
+            flag("--seed", type=int, default=0),
+            DEVICE,
+            REPORT,
+        ),
+    ),
+    Bench(
+        "shard-bench",
+        help="scale one large top-k across simulated devices and check the "
+             "partition-parallel scaling curve (exactness + monotonicity)",
+        module="repro.sharding.bench",
+        runner="run_sharding_benchmark",
+        workload="ShardWorkload",
+        baseline="benchmarks/baselines/BENCH_sharding.json",
+        flags=(
+            flag("--n", type=int, default=None, dest="model_n",
+                 help="modeled input size (default: 2^26)"),
+            flag("--k", type=int, default=None, help="result size"),
+            flag("--shards", type=int, action="append", dest="shard_counts",
+                 default=None,
+                 help="shard count to measure; repeatable, strictly "
+                      "increasing (default: 1 2 4 8)"),
+            _FUNCTIONAL_CAP,
+            _SEED,
+            DEVICE,
+            REPORT,
+        ),
+    ),
+    Bench(
+        "slo-bench",
+        help="sweep offered load past saturation and compare the SLO "
+             "scheduler (EDF + degradation ladder) against the FIFO baseline",
+        module="repro.slo.bench",
+        runner="run_slo_benchmark",
+        workload=None,
+        baseline="benchmarks/baselines/BENCH_slo.json",
+        flags=(
+            flag("--queries", type=int, default=120),
+            flag("--rate", type=float, action="append", dest="rates",
+                 default=None,
+                 help="offered load in queries per simulated ms; "
+                      "repeatable (default: 8 16 28 40 60)"),
+            flag("--process", default="poisson",
+                 choices=["poisson", "bursty"],
+                 help="open-loop arrival process"),
+            flag("--seed", type=int, default=0),
+            DEVICE,
+            REPORT,
+        ),
+    ),
+    Bench(
+        "radix-bench",
+        help="sweep the RadiK-style radix kernel against the strawman and "
+             "bitonic across (k, batch): large-k crossover + fused batching",
+        module="repro.bench.radix",
+        runner="run_radix_benchmark",
+        workload="RadixWorkload",
+        baseline="benchmarks/baselines/BENCH_radix.json",
+        flags=(
+            flag("--n", type=int, default=None, dest="model_n",
+                 help="modeled input size of the k sweep (default: 2^26)"),
+            flag("--k", type=int, action="append", dest="ks", default=None,
+                 help="result size; repeatable, strictly increasing "
+                      "(default: 64 256 1024 2048)"),
+            flag("--batch", type=int, action="append", dest="batch_sizes",
+                 default=None,
+                 help="batch size of the fused sweep; repeatable, strictly "
+                      "increasing (default: 1 2 4 8)"),
+            flag("--batch-n", type=int, default=None,
+                 help="row length of the batch sweep (default: 2048)"),
+            flag("--batch-k", type=int, default=None,
+                 help="result size of the batch sweep (default: 64)"),
+            _FUNCTIONAL_CAP,
+            _SEED,
+            DEVICE,
+            REPORT,
+        ),
+    ),
+    Bench(
+        "stream-bench",
+        help="drive the seeded tweet stream through incremental and "
+             "recompute maintenance: per-tick bit-equality + the "
+             "incremental speedup gate",
+        module="repro.streaming.bench",
+        runner="run_streaming_benchmark",
+        workload="StreamWorkload",
+        baseline="benchmarks/baselines/BENCH_streaming.json",
+        flags=(
+            flag("--k", type=int, default=None, help="result size"),
+            flag("--chunk-rows", type=int, default=None,
+                 help="functional rows per tick (the equality oracle's "
+                      "chunk size)"),
+            flag("--model-chunk-rows", type=int, default=None,
+                 help="modeled rows per tick (the tick traces price this "
+                      "size)"),
+            flag("--window-chunks", type=int, default=None,
+                 help="sliding window length in chunks"),
+            flag("--ticks", type=int, default=None,
+                 help="stream length in ticks (must cover at least one "
+                      "window)"),
+            flag("--decay", type=float, default=None,
+                 help="per-tick decay factor of the decayed arm"),
+            flag("--shards", type=int, default=None,
+                 help="per-chunk summarize parallelism (contiguous shard "
+                      "ranges)"),
+            _SEED,
+            DEVICE,
+            REPORT,
+        ),
+    ),
+    Bench(
+        "calibrate",
+        help="replay a seeded workload through every candidate kernel, fit "
+             "per-kernel correction factors, and report planner Q-error "
+             "before/after calibration",
+        module="repro.bench.calibrate",
+        runner="run_calibration_benchmark",
+        workload="CalibrationWorkload",
+        baseline=None,
+        flags=(
+            flag("--n", type=int, action="append", dest="ns", default=None,
+                 help="input size of the replay grid; repeatable, strictly "
+                      "increasing (default: 16384 65536 262144)"),
+            flag("--k", type=int, action="append", dest="ks", default=None,
+                 help="result size of the replay grid; repeatable, "
+                      "strictly increasing (default: 8 64 256 1024)"),
+            flag("--profile", dest="profile_name", default=None,
+                 choices=sorted(PROFILES),
+                 help="workload profile of the replay (default: "
+                      "uniform-float)"),
+            _SEED,
+            DEVICE,
+            REPORT,
+            flag("--store", default=None,
+                 help="persist the fitted calibration store to this JSON "
+                      "path"),
+            flag("--load", default=None,
+                 help="seed the store from a previously persisted JSON "
+                      "file (the replay's samples append to it before the "
+                      "refit)"),
+        ),
+    ),
+)
+
+
+# -- The contract -----------------------------------------------------------
+
+
 def add_report_arguments(
     parser: argparse.ArgumentParser, baseline_name: str | None = None
 ) -> None:
@@ -66,6 +352,18 @@ def add_report_arguments(
         )
 
 
+def add_bench_arguments(parser: argparse.ArgumentParser, bench: Bench) -> None:
+    """Wire a registered bench's flags, in its ``--help`` order."""
+    for spec in bench.flags:
+        if spec is REPORT:
+            add_report_arguments(
+                parser, bench.baseline and Path(bench.baseline).name
+            )
+        else:
+            names, options = spec
+            parser.add_argument(*names, **options)
+
+
 def write_report(report, arguments) -> dict:
     """Write the ``--out`` artifact and print the report; returns payload."""
     payload = report.to_dict()
@@ -82,10 +380,10 @@ def write_report(report, arguments) -> dict:
 
 
 def apply_gates(gates: Iterable[tuple[bool, str]]) -> int:
-    """Evaluate (passed, message) gates; each failure is one stderr line."""
+    """Evaluate (ok, message) gates; each failure is one stderr line."""
     status = 0
-    for passed, message in gates:
-        if not passed:
+    for ok, message in gates:
+        if not ok:
             print(f"error: {message}", file=sys.stderr)
             status = 1
     return status
@@ -97,9 +395,7 @@ def apply_baseline(
     """Load a committed baseline and report every drifted number."""
     if not baseline_path:
         return 0
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    problems = check(report, baseline)
+    problems = check(report, load_json(baseline_path, "baseline"))
     for problem in problems:
         print(f"baseline regression: {problem}", file=sys.stderr)
     return 1 if problems else 0
@@ -108,12 +404,11 @@ def apply_baseline(
 def finish_report(
     report,
     arguments,
-    gates: Iterable[tuple[bool, str]] = (),
     check_baseline: Callable[[object, dict], list] | None = None,
 ) -> int:
     """The whole bench-command tail: artifact, print, gates, baseline."""
     write_report(report, arguments)
-    status = apply_gates(gates)
+    status = apply_gates(report.gates())
     if check_baseline is not None:
         status = max(
             status,

@@ -8,9 +8,10 @@ recordings and flags series points whose relative change exceeds a
 tolerance.
 
 The run-level variants (``save_run`` / ``load_run`` / ``compare_run``)
-bundle several figures into one JSON document — the shape CI's
-``bench-smoke`` job commits as its baseline and gates against, with
-``slower_only=True`` so improvements never fail the build.
+bundle several figures into one JSON document — the shape
+``python -m repro.bench --ci`` (an entry of CI's ``smoke`` matrix)
+commits as its baseline and gates against, with ``slower_only=True`` so
+improvements never fail the build.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.bench.common import BASELINE_TOLERANCE, drifted
+from repro.bench.common import BASELINE_TOLERANCE, drifted, load_json
 from repro.bench.report import Figure
 from repro.errors import InvalidParameterError
 
@@ -60,11 +61,7 @@ def save_figure(figure: Figure, path: str | Path) -> None:
 
 def load_figure(path: str | Path) -> Figure:
     """Load a previously saved figure."""
-    try:
-        record = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise InvalidParameterError(f"cannot load figure from {path}: {error}")
-    return record_to_figure(record)
+    return record_to_figure(load_json(path, "figure"))
 
 
 @dataclass(frozen=True)
@@ -161,11 +158,7 @@ def save_run(figures: dict[str, Figure], path: str | Path) -> None:
 
 def load_run(path: str | Path) -> dict[str, Figure]:
     """Load a previously saved benchmark run."""
-    try:
-        record = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise InvalidParameterError(f"cannot load run from {path}: {error}")
-    return record_to_run(record)
+    return record_to_run(load_json(path, "run"))
 
 
 def compare_run(

@@ -49,7 +49,7 @@ from repro.algorithms.radik import RadiKTopK, batched_radik_topk
 from repro.core.topk import topk
 from repro.errors import InvalidParameterError, ResourceExhaustedError
 from repro.gpu.device import DeviceSpec, get_device
-from repro.bench.common import BASELINE_TOLERANCE, drifted
+from repro.bench.common import BASELINE_TOLERANCE, drifted, incomparable
 from repro.gpu.timing import trace_time
 
 #: JSON schema tag of a serialized report.
@@ -253,9 +253,27 @@ class RadixBenchReport:
             if p.batch >= 2
         )
 
+    def gates(self) -> list[tuple[bool, str]]:
+        return [
+            (
+                self.identical,
+                "a radix result is not bit-equal to the reference order",
+            ),
+            (
+                self.large_k_monotonic,
+                "the monotonic large-k gate failed (speedup over bitonic "
+                "shrank with k, or radik lost a gated point)",
+            ),
+            (
+                self.batch_amortizes,
+                "the fused batch did not beat per-query execution at every "
+                "batch >= 2",
+            ),
+        ]
+
     @property
     def passed(self) -> bool:
-        return self.identical and self.large_k_monotonic and self.batch_amortizes
+        return all(ok for ok, _ in self.gates())
 
     def to_dict(self) -> dict:
         return {
@@ -422,14 +440,9 @@ def check_baseline(report: RadixBenchReport, baseline: dict) -> list[str]:
     :data:`BASELINE_TOLERANCE`), exactness, and the gate verdicts —
     never wall clock.
     """
-    if baseline.get("format") != REPORT_FORMAT:
-        return [f"baseline is not a {REPORT_FORMAT} document"]
-    if baseline.get("workload") != report.workload.to_dict():
-        return [
-            "baseline workload differs from the benchmarked sweep: "
-            f"{baseline.get('workload')} vs {report.workload.to_dict()}"
-        ]
-    problems = []
+    problems = incomparable(baseline, REPORT_FORMAT, report.workload.to_dict())
+    if problems:
+        return problems
     measured = {p.k: p for p in report.points}
     for expected in baseline.get("points", []):
         point = measured.get(expected["k"])

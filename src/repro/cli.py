@@ -22,6 +22,8 @@ Examples::
     python -m repro stream-bench --baseline benchmarks/baselines/BENCH_streaming.json
     python -m repro calibrate --store calibration.json
 
+The bench commands (``*-bench`` and ``calibrate``) are built from
+:data:`repro.bench.common.BENCHES` and all run through one command path.
 Every command reports failures as one-line typed errors on stderr, with a
 distinct exit code per :class:`~repro.errors.ReproError` subclass (see
 ``repro.errors.EXIT_CODES``).
@@ -30,13 +32,20 @@ distinct exit code per :class:`~repro.errors.ReproError` subclass (see
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import importlib
 import sys
 
 import numpy as np
 
 from repro import observability as obs
 from repro.algorithms.registry import list_algorithms
-from repro.bench.common import add_report_arguments, finish_report
+from repro.bench.common import (
+    BENCHES,
+    add_bench_arguments,
+    finish_report,
+    load_json,
+)
 from repro.core.planner import TopKPlanner
 from repro.core.topk import topk
 from repro.costmodel.base import PROFILES, get_profile
@@ -81,6 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--timeline", action="store_true", help="print the kernel timeline"
     )
+    run.set_defaults(handler=_command_topk)
 
     plan = commands.add_parser("plan", help="rank algorithms by predicted cost")
     plan.add_argument("--n", type=int, default=1 << 29)
@@ -88,6 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--dtype", default="float32", choices=sorted(_DTYPES))
     plan.add_argument("--profile", default="uniform-float", choices=sorted(PROFILES))
     plan.add_argument("--device", default="titan-x-maxwell", choices=list_devices())
+    plan.set_defaults(handler=_command_plan)
 
     explain = commands.add_parser(
         "explain",
@@ -130,12 +141,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--k", type=int, default=64,
         help="subscription EXPLAIN: result size",
     )
+    explain.set_defaults(handler=_command_explain)
 
-    for name, help_text in [
-        ("trace", "run a workload under tracing and export the trace"),
-        ("profile", "run a workload and print its span tree + metrics"),
+    for name, help_text, handler in [
+        ("trace", "run a workload under tracing and export the trace",
+         _command_trace),
+        ("profile", "run a workload and print its span tree + metrics",
+         _command_profile),
     ]:
         sub = commands.add_parser(name, help=help_text)
+        sub.set_defaults(handler=handler)
         sub.add_argument(
             "sql", nargs="?", default=None,
             help="optional SQL query (table must be 'tweets'); "
@@ -182,210 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the full report as JSON instead of the text summary",
     )
+    chaos.set_defaults(handler=_command_chaos)
 
-    serve = commands.add_parser(
-        "serve-bench",
-        help="replay a synthetic workload through the serving layer and "
-             "compare against sequential execution",
-    )
-    serve.add_argument("--queries", type=int, default=1000)
-    serve.add_argument("--shapes", type=int, default=4,
-                       help="number of distinct (n, k) shapes in the stream")
-    serve.add_argument("--n", type=int, default=512, help="row length")
-    serve.add_argument("--k", type=int, default=8, help="base k (shape i uses k + i)")
-    serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument("--device", default="titan-x-maxwell", choices=list_devices())
-    serve.add_argument("--max-batch", type=int, default=128,
-                       help="largest number of queries fused into one launch")
-    serve.add_argument("--no-cache", action="store_true",
-                       help="disable the plan cache (replan every query)")
-    serve.add_argument("--no-batch", action="store_true",
-                       help="disable cross-query batching (serve per query)")
-    add_report_arguments(serve, "BENCH_serving.json")
-
-    approx = commands.add_parser(
-        "approx-bench",
-        help="sweep the bucketed approximate top-k against the exact "
-             "bitonic plan: simulated speedup vs. measured recall",
-    )
-    approx.add_argument(
-        "--n", type=int, action="append", dest="ns", default=None,
-        help="modeled input size; repeatable (default: 2^20 and 2^24)",
-    )
-    approx.add_argument(
-        "--k", type=int, action="append", dest="ks", default=None,
-        help="result size; repeatable (default: 64 and 256)",
-    )
-    approx.add_argument(
-        "--buckets", type=int, action="append", default=None,
-        help="bucket count; repeatable; 0 means the planner default "
-             "(default: 0, 16, 64)",
-    )
-    approx.add_argument(
-        "--functional-cap", type=int, default=1 << 18,
-        help="functional array size cap (the trace still models --n)",
-    )
-    approx.add_argument("--seed", type=int, default=0)
-    approx.add_argument(
-        "--device", default="titan-x-maxwell", choices=list_devices()
-    )
-    add_report_arguments(approx, "BENCH_approx.json")
-
-    shard = commands.add_parser(
-        "shard-bench",
-        help="scale one large top-k across simulated devices and check the "
-             "partition-parallel scaling curve (exactness + monotonicity)",
-    )
-    shard.add_argument(
-        "--n", type=int, default=None, dest="model_n",
-        help="modeled input size (default: 2^26)",
-    )
-    shard.add_argument("--k", type=int, default=None, help="result size")
-    shard.add_argument(
-        "--shards", type=int, action="append", dest="shard_counts",
-        default=None,
-        help="shard count to measure; repeatable, strictly increasing "
-             "(default: 1 2 4 8)",
-    )
-    shard.add_argument(
-        "--functional-cap", type=int, default=None,
-        help="functional array size cap (the trace still models --n)",
-    )
-    shard.add_argument("--seed", type=int, default=None)
-    shard.add_argument(
-        "--device", default="titan-x-maxwell", choices=list_devices()
-    )
-    add_report_arguments(shard, "BENCH_sharding.json")
-
-    slo = commands.add_parser(
-        "slo-bench",
-        help="sweep offered load past saturation and compare the SLO "
-             "scheduler (EDF + degradation ladder) against the FIFO baseline",
-    )
-    slo.add_argument("--queries", type=int, default=120)
-    slo.add_argument(
-        "--rate", type=float, action="append", dest="rates", default=None,
-        help="offered load in queries per simulated ms; repeatable "
-             "(default: 8 16 28 40 60)",
-    )
-    slo.add_argument(
-        "--process", default="poisson", choices=["poisson", "bursty"],
-        help="open-loop arrival process",
-    )
-    slo.add_argument("--seed", type=int, default=0)
-    slo.add_argument(
-        "--device", default="titan-x-maxwell", choices=list_devices()
-    )
-    add_report_arguments(slo, "BENCH_slo.json")
-
-    radix = commands.add_parser(
-        "radix-bench",
-        help="sweep the RadiK-style radix kernel against the strawman and "
-             "bitonic across (k, batch): large-k crossover + fused batching",
-    )
-    radix.add_argument(
-        "--n", type=int, default=None, dest="model_n",
-        help="modeled input size of the k sweep (default: 2^26)",
-    )
-    radix.add_argument(
-        "--k", type=int, action="append", dest="ks", default=None,
-        help="result size; repeatable, strictly increasing "
-             "(default: 64 256 1024 2048)",
-    )
-    radix.add_argument(
-        "--batch", type=int, action="append", dest="batch_sizes", default=None,
-        help="batch size of the fused sweep; repeatable, strictly "
-             "increasing (default: 1 2 4 8)",
-    )
-    radix.add_argument(
-        "--batch-n", type=int, default=None,
-        help="row length of the batch sweep (default: 2048)",
-    )
-    radix.add_argument(
-        "--batch-k", type=int, default=None,
-        help="result size of the batch sweep (default: 64)",
-    )
-    radix.add_argument(
-        "--functional-cap", type=int, default=None,
-        help="functional array size cap (the trace still models --n)",
-    )
-    radix.add_argument("--seed", type=int, default=None)
-    radix.add_argument(
-        "--device", default="titan-x-maxwell", choices=list_devices()
-    )
-    add_report_arguments(radix, "BENCH_radix.json")
-
-    stream = commands.add_parser(
-        "stream-bench",
-        help="drive the seeded tweet stream through incremental and "
-             "recompute maintenance: per-tick bit-equality + the "
-             "incremental speedup gate",
-    )
-    stream.add_argument("--k", type=int, default=None, help="result size")
-    stream.add_argument(
-        "--chunk-rows", type=int, default=None,
-        help="functional rows per tick (the equality oracle's chunk size)",
-    )
-    stream.add_argument(
-        "--model-chunk-rows", type=int, default=None,
-        help="modeled rows per tick (the tick traces price this size)",
-    )
-    stream.add_argument(
-        "--window-chunks", type=int, default=None,
-        help="sliding window length in chunks",
-    )
-    stream.add_argument(
-        "--ticks", type=int, default=None,
-        help="stream length in ticks (must cover at least one window)",
-    )
-    stream.add_argument(
-        "--decay", type=float, default=None,
-        help="per-tick decay factor of the decayed arm",
-    )
-    stream.add_argument(
-        "--shards", type=int, default=None,
-        help="per-chunk summarize parallelism (contiguous shard ranges)",
-    )
-    stream.add_argument("--seed", type=int, default=None)
-    stream.add_argument(
-        "--device", default="titan-x-maxwell", choices=list_devices()
-    )
-    add_report_arguments(stream, "BENCH_streaming.json")
-
-    calibrate = commands.add_parser(
-        "calibrate",
-        help="replay a seeded workload through every candidate kernel, fit "
-             "per-kernel correction factors, and report planner Q-error "
-             "before/after calibration",
-    )
-    calibrate.add_argument(
-        "--n", type=int, action="append", dest="ns", default=None,
-        help="input size of the replay grid; repeatable, strictly "
-             "increasing (default: 16384 65536 262144)",
-    )
-    calibrate.add_argument(
-        "--k", type=int, action="append", dest="ks", default=None,
-        help="result size of the replay grid; repeatable, strictly "
-             "increasing (default: 8 64 256 1024)",
-    )
-    calibrate.add_argument(
-        "--profile", default=None, choices=sorted(PROFILES),
-        help="workload profile of the replay (default: uniform-float)",
-    )
-    calibrate.add_argument("--seed", type=int, default=None)
-    calibrate.add_argument(
-        "--device", default="titan-x-maxwell", choices=list_devices()
-    )
-    add_report_arguments(calibrate)
-    calibrate.add_argument(
-        "--store", default=None,
-        help="persist the fitted calibration store to this JSON path",
-    )
-    calibrate.add_argument(
-        "--load", default=None,
-        help="seed the store from a previously persisted JSON file "
-             "(the replay's samples append to it before the refit)",
-    )
+    for bench in BENCHES:
+        sub = commands.add_parser(bench.name, help=bench.help)
+        add_bench_arguments(sub, bench)
+        sub.set_defaults(handler=_command_bench, bench=bench)
     return parser
 
 
@@ -537,333 +354,76 @@ def _command_chaos(arguments) -> int:
     return 0 if report.survived else 1
 
 
-def _command_serve_bench(arguments) -> int:
-    from repro.serving import Workload, check_baseline, run_serving_benchmark
-
-    report = run_serving_benchmark(
-        Workload(
-            queries=arguments.queries,
-            shapes=arguments.shapes,
-            n=arguments.n,
-            k=arguments.k,
-            seed=arguments.seed,
-        ),
-        device=get_device(arguments.device),
-        cache=not arguments.no_cache,
-        batching=not arguments.no_batch,
-        max_batch=arguments.max_batch,
-    )
-    return finish_report(
-        report,
-        arguments,
-        gates=[
-            (
-                report.identical,
-                "served results are not bit-equal to sequential results",
-            ),
-        ],
-        check_baseline=check_baseline,
-    )
+def _set_flags(arguments, names) -> dict:
+    """The named flags the command line set, repeatable ones as tuples."""
+    settings = {}
+    for name in names:
+        value = getattr(arguments, name, None)
+        if value is not None:
+            settings[name] = tuple(value) if isinstance(value, list) else value
+    return settings
 
 
-def _command_approx_bench(arguments) -> int:
-    from repro.approx import (
-        ApproxWorkload,
-        check_baseline,
-        run_approx_benchmark,
-    )
+def _runner_options(arguments) -> dict:
+    """Runner keywords that are not workload fields: serve's switches and
+    the calibration store."""
+    if arguments.command == "serve-bench":
+        return {
+            "cache": not arguments.no_cache,
+            "batching": not arguments.no_batch,
+            "max_batch": arguments.max_batch,
+        }
+    if arguments.command == "calibrate":
+        from repro.costmodel.calibration import CalibrationStore
 
-    defaults = ApproxWorkload()
-    report = run_approx_benchmark(
-        ApproxWorkload(
-            ns=tuple(arguments.ns) if arguments.ns else defaults.ns,
-            ks=tuple(arguments.ks) if arguments.ks else defaults.ks,
-            buckets=(
-                tuple(arguments.buckets)
-                if arguments.buckets
-                else defaults.buckets
-            ),
-            functional_cap=arguments.functional_cap,
-            seed=arguments.seed,
-        ),
-        device=get_device(arguments.device),
-    )
-    return finish_report(
-        report,
-        arguments,
-        gates=[
-            (
-                report.headline is None or report.passed,
-                "the headline speedup/recall gate failed",
-            ),
-        ],
-        check_baseline=check_baseline,
-    )
+        if arguments.load:
+            return {
+                "store": CalibrationStore.from_dict(
+                    load_json(arguments.load, "calibration store")
+                )
+            }
+        return {"store": CalibrationStore()}
+    return {}
 
 
-def _command_shard_bench(arguments) -> int:
-    from repro.sharding import (
-        ShardWorkload,
-        check_baseline,
-        run_sharding_benchmark,
-    )
-
-    defaults = ShardWorkload()
-    report = run_sharding_benchmark(
-        ShardWorkload(
-            model_n=(
-                arguments.model_n
-                if arguments.model_n is not None
-                else defaults.model_n
-            ),
-            k=arguments.k if arguments.k is not None else defaults.k,
-            shard_counts=(
-                tuple(arguments.shard_counts)
-                if arguments.shard_counts
-                else defaults.shard_counts
-            ),
-            functional_cap=(
-                arguments.functional_cap
-                if arguments.functional_cap is not None
-                else defaults.functional_cap
-            ),
-            seed=arguments.seed if arguments.seed is not None else defaults.seed,
-        ),
-        device=get_device(arguments.device),
-    )
-    return finish_report(
-        report,
-        arguments,
-        gates=[
-            (
-                report.identical,
-                "sharded results are not bit-equal to the single-device "
-                "reference",
-            ),
-            (
-                report.monotonic,
-                "simulated time does not improve monotonically across the "
-                "gated shard counts",
-            ),
-        ],
-        check_baseline=check_baseline,
-    )
-
-
-def _command_slo_bench(arguments) -> int:
-    from repro.slo import DEFAULT_RATES, check_baseline, run_slo_benchmark
-
-    report = run_slo_benchmark(
-        queries=arguments.queries,
-        rates=tuple(arguments.rates) if arguments.rates else DEFAULT_RATES,
-        process=arguments.process,
-        seed=arguments.seed,
-        device=get_device(arguments.device),
-    )
-    return finish_report(
-        report,
-        arguments,
-        gates=[
-            (
-                report.passed,
-                "an SLO property gate failed (dominance, recall honesty, or "
-                "below-saturation exactness)",
-            ),
-        ],
-        check_baseline=check_baseline,
-    )
-
-
-def _command_radix_bench(arguments) -> int:
-    from repro.bench.radix import (
-        RadixWorkload,
-        check_baseline,
-        run_radix_benchmark,
-    )
-
-    defaults = RadixWorkload()
-    report = run_radix_benchmark(
-        RadixWorkload(
-            model_n=(
-                arguments.model_n
-                if arguments.model_n is not None
-                else defaults.model_n
-            ),
-            ks=tuple(arguments.ks) if arguments.ks else defaults.ks,
-            functional_cap=(
-                arguments.functional_cap
-                if arguments.functional_cap is not None
-                else defaults.functional_cap
-            ),
-            batch_sizes=(
-                tuple(arguments.batch_sizes)
-                if arguments.batch_sizes
-                else defaults.batch_sizes
-            ),
-            batch_n=(
-                arguments.batch_n
-                if arguments.batch_n is not None
-                else defaults.batch_n
-            ),
-            batch_k=(
-                arguments.batch_k
-                if arguments.batch_k is not None
-                else defaults.batch_k
-            ),
-            seed=arguments.seed if arguments.seed is not None else defaults.seed,
-        ),
-        device=get_device(arguments.device),
-    )
-    return finish_report(
-        report,
-        arguments,
-        gates=[
-            (
-                report.identical,
-                "a radix result is not bit-equal to the reference order",
-            ),
-            (
-                report.large_k_monotonic,
-                "the monotonic large-k gate failed (speedup over bitonic "
-                "shrank with k, or radik lost a gated point)",
-            ),
-            (
-                report.batch_amortizes,
-                "the fused batch did not beat per-query execution at every "
-                "batch >= 2",
-            ),
-        ],
-        check_baseline=check_baseline,
-    )
-
-
-def _command_stream_bench(arguments) -> int:
-    from repro.streaming import (
-        GATE_SPEEDUP,
-        StreamWorkload,
-        check_baseline,
-        run_streaming_benchmark,
-    )
-
-    defaults = StreamWorkload()
-    overrides = {
-        name: getattr(arguments, name)
-        for name in (
-            "k", "chunk_rows", "model_chunk_rows", "window_chunks",
-            "ticks", "decay", "shards", "seed",
+def _command_bench(arguments) -> int:
+    """Run one registered bench: the flags that were set override its
+    workload's defaults, then the report's gates and baseline decide."""
+    bench = arguments.bench
+    module = importlib.import_module(bench.module)
+    run = getattr(module, bench.runner)
+    device = get_device(arguments.device)
+    if bench.workload is None:
+        report = run(device=device, **_set_flags(arguments, bench.settings))
+    else:
+        workload = getattr(module, bench.workload)
+        names = [field.name for field in dataclasses.fields(workload)]
+        options = _runner_options(arguments)
+        report = run(
+            dataclasses.replace(workload(), **_set_flags(arguments, names)),
+            device=device,
+            **options,
         )
-        if getattr(arguments, name) is not None
-    }
-    report = run_streaming_benchmark(
-        StreamWorkload(**{**defaults.to_dict(), **overrides}),
-        device=get_device(arguments.device),
-    )
+        if getattr(arguments, "store", None):
+            options["store"].save(arguments.store)
     return finish_report(
-        report,
-        arguments,
-        gates=[
-            (
-                report.identical,
-                "an incremental answer is not bit-equal to its recompute "
-                "oracle",
-            ),
-            (
-                report.fast_enough,
-                f"incremental speedup {report.measured_speedup:.2f}x is "
-                f"below the {GATE_SPEEDUP:.1f}x gate",
-            ),
-        ],
-        check_baseline=check_baseline,
-    )
-
-
-def _command_calibrate(arguments) -> int:
-    from repro.bench.calibrate import (
-        CalibrationWorkload,
-        run_calibration_benchmark,
-    )
-    from repro.costmodel.calibration import CalibrationStore
-
-    defaults = CalibrationWorkload()
-    workload = CalibrationWorkload(
-        ns=tuple(arguments.ns) if arguments.ns else defaults.ns,
-        ks=tuple(arguments.ks) if arguments.ks else defaults.ks,
-        profile_name=(
-            arguments.profile
-            if arguments.profile is not None
-            else defaults.profile_name
-        ),
-        seed=arguments.seed if arguments.seed is not None else defaults.seed,
-    )
-    store = (
-        CalibrationStore.load(arguments.load)
-        if arguments.load
-        else CalibrationStore()
-    )
-    report = run_calibration_benchmark(
-        workload, device=get_device(arguments.device), store=store
-    )
-    if arguments.store:
-        store.save(arguments.store)
-    return finish_report(
-        report,
-        arguments,
-        gates=[
-            (
-                report.q_error_improves,
-                "post-calibration p95 Q-error exceeds pre-calibration",
-            ),
-            (
-                report.decisions_optimal,
-                "a fitted correction drifted a planner decision away from "
-                "the observed optimum",
-            ),
-            (
-                report.default_unchanged,
-                "replanning with calibrate=False did not reproduce the "
-                "baseline decisions",
-            ),
-        ],
+        report, arguments, getattr(module, "check_baseline", None)
     )
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     arguments = parser.parse_args(argv)
+    if not hasattr(arguments, "handler"):
+        parser.print_help()
+        return 2
     try:
-        if arguments.command == "topk":
-            return _command_topk(arguments)
-        if arguments.command == "plan":
-            return _command_plan(arguments)
-        if arguments.command == "explain":
-            return _command_explain(arguments)
-        if arguments.command == "trace":
-            return _command_trace(arguments)
-        if arguments.command == "profile":
-            return _command_profile(arguments)
-        if arguments.command == "chaos":
-            return _command_chaos(arguments)
-        if arguments.command == "serve-bench":
-            return _command_serve_bench(arguments)
-        if arguments.command == "approx-bench":
-            return _command_approx_bench(arguments)
-        if arguments.command == "shard-bench":
-            return _command_shard_bench(arguments)
-        if arguments.command == "slo-bench":
-            return _command_slo_bench(arguments)
-        if arguments.command == "radix-bench":
-            return _command_radix_bench(arguments)
-        if arguments.command == "stream-bench":
-            return _command_stream_bench(arguments)
-        if arguments.command == "calibrate":
-            return _command_calibrate(arguments)
+        return arguments.handler(arguments)
     except ReproError as error:
         # One-line typed diagnostics; each error class has its own exit
         # code so scripts can dispatch on the failure mode.
         print(f"error: {type(error).__name__}: {error}", file=sys.stderr)
         return exit_code(error)
-    parser.print_help()
-    return 2
 
 
 if __name__ == "__main__":

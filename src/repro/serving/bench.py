@@ -27,7 +27,7 @@ from repro.algorithms.registry import create
 from repro.core.planner import TopKPlanner
 from repro.errors import InvalidParameterError
 from repro.gpu.device import DeviceSpec, get_device
-from repro.bench.common import BASELINE_TOLERANCE, drifted
+from repro.bench.common import BASELINE_TOLERANCE, drifted, incomparable
 from repro.gpu.timing import trace_time
 from repro.serving.scheduler import TopKServer
 
@@ -121,6 +121,14 @@ class ServeBenchReport:
     @property
     def hit_rate(self) -> float:
         return self.cache.get("hit_rate", 0.0)
+
+    def gates(self) -> list[tuple[bool, str]]:
+        return [
+            (
+                self.identical,
+                "served results are not bit-equal to sequential results",
+            ),
+        ]
 
     def to_dict(self) -> dict:
         queries = self.workload.queries
@@ -269,17 +277,13 @@ def check_baseline(report: ServeBenchReport, baseline: dict) -> list[str]:
     """Regression-gate a report against a committed baseline.
 
     Returns the list of violations (empty = pass).  Only deterministic
-    quantities are gated — simulated milliseconds and the cache hit rate —
-    never wall clock, which depends on the machine.
+    quantities are gated — simulated milliseconds, the cache hit rate and
+    whether any queries were batched — never wall clock, which depends on
+    the machine.
     """
-    problems = []
-    if baseline.get("format") != REPORT_FORMAT:
-        return [f"baseline is not a {REPORT_FORMAT} document"]
-    if baseline.get("workload") != report.workload.to_dict():
-        return [
-            "baseline workload differs from the benchmarked workload: "
-            f"{baseline.get('workload')} vs {report.workload.to_dict()}"
-        ]
+    problems = incomparable(baseline, REPORT_FORMAT, report.workload.to_dict())
+    if problems:
+        return problems
     for path in ("sequential", "served"):
         expected = baseline[path]["simulated_ms"]
         measured = report.to_dict()[path]["simulated_ms"]
@@ -294,4 +298,8 @@ def check_baseline(report: ServeBenchReport, baseline: dict) -> list[str]:
             f"plan cache hit rate {report.hit_rate:.1%} fell below baseline "
             f"{expected_rate:.1%}"
         )
+    if baseline.get("batcher", {}).get("batches") and not report.batcher.get(
+        "batches"
+    ):
+        problems.append("baseline batched, this run did not")
     return problems

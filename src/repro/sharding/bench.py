@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.base import reference_topk
-from repro.bench.common import BASELINE_TOLERANCE, drifted
+from repro.bench.common import BASELINE_TOLERANCE, drifted, incomparable
 from repro.errors import InvalidParameterError
 from repro.gpu.device import DeviceSpec, get_device
 from repro.gpu.timing import trace_time
@@ -160,9 +160,23 @@ class ShardBenchReport:
             for earlier, later in zip(gated, gated[1:])
         )
 
+    def gates(self) -> list[tuple[bool, str]]:
+        return [
+            (
+                self.identical,
+                "sharded results are not bit-equal to the single-device "
+                "reference",
+            ),
+            (
+                self.monotonic,
+                "simulated time does not improve monotonically across the "
+                "gated shard counts",
+            ),
+        ]
+
     @property
     def passed(self) -> bool:
-        return self.identical and self.monotonic
+        return all(ok for ok, _ in self.gates())
 
     def speedup(self, point: ShardPoint) -> float:
         base = self.points[0].simulated_ms if self.points else 0.0
@@ -245,14 +259,9 @@ def check_baseline(report: ShardBenchReport, baseline: dict) -> list[str]:
     :data:`BASELINE_TOLERANCE`), exactness, and the monotonic verdict —
     never wall clock.
     """
-    if baseline.get("format") != REPORT_FORMAT:
-        return [f"baseline is not a {REPORT_FORMAT} document"]
-    if baseline.get("workload") != report.workload.to_dict():
-        return [
-            "baseline workload differs from the benchmarked curve: "
-            f"{baseline.get('workload')} vs {report.workload.to_dict()}"
-        ]
-    problems = []
+    problems = incomparable(baseline, REPORT_FORMAT, report.workload.to_dict())
+    if problems:
+        return problems
     measured_points = {p.shards: p for p in report.points}
     for expected in baseline.get("points", []):
         shards = expected["shards"]

@@ -8,7 +8,8 @@ the *same* open-loop trace through two arms at every rate:
 * **slo** — the full ladder: EDF ordering, per-class budgets, recall
   degradation, overdue shedding.
 
-Three properties are computed (and gated by the ``slo-smoke`` CI job):
+Three properties are computed, and ``gates()`` fails the run on each
+(``slo-bench`` in CI's ``smoke`` matrix):
 
 1. **Dominance** — past saturation (FIFO goodput below
    :data:`SATURATION_GOODPUT`), the SLO arm's goodput strictly exceeds
@@ -37,7 +38,7 @@ from repro.gpu.device import DeviceSpec, get_device
 from repro.observability.metrics import MetricsRegistry
 from repro.serving.plan_cache import PlanCache
 from repro.slo.arrivals import OpenLoopWorkload
-from repro.bench.common import BASELINE_TOLERANCE, drifted
+from repro.bench.common import BASELINE_TOLERANCE, drifted, incomparable
 from repro.slo.qos import DEFAULT_POLICY, SloPolicy
 from repro.slo.scheduler import FifoScheduler, SloScheduler
 from repro.slo.simulator import SimulationResult, simulate
@@ -131,11 +132,28 @@ class SloBenchReport:
         pristine = [point for point in self.points if point.pristine]
         return bool(pristine) and all(point.identical for point in pristine)
 
+    def gates(self) -> list[tuple[bool, str]]:
+        return [
+            (
+                self.dominates,
+                "the SLO arm did not beat FIFO goodput at every saturated "
+                "rate (dominance)",
+            ),
+            (
+                self.recall_honest,
+                "degraded answers missed their advertised recall floors "
+                "(recall honesty)",
+            ),
+            (
+                self.exact_below_saturation,
+                "rates below saturation were not bit-equal to the exact "
+                "path (below-saturation exactness)",
+            ),
+        ]
+
     @property
     def passed(self) -> bool:
-        return (
-            self.dominates and self.recall_honest and self.exact_below_saturation
-        )
+        return all(ok for ok, _ in self.gates())
 
     def to_dict(self) -> dict:
         return {
@@ -267,14 +285,9 @@ def check_baseline(report: SloBenchReport, baseline: dict) -> list[str]:
     Only deterministic quantities are compared: per-rate goodput of both
     arms and the SLO arm's gold-class p99 simulated latency.
     """
-    problems = []
-    if baseline.get("format") != REPORT_FORMAT:
-        return [f"baseline is not a {REPORT_FORMAT} document"]
-    if baseline.get("workload") != report.workload:
-        return [
-            "baseline workload differs from the benchmarked workload: "
-            f"{baseline.get('workload')} vs {report.workload}"
-        ]
+    problems = incomparable(baseline, REPORT_FORMAT, report.workload)
+    if problems:
+        return problems
     measured_points = {point.rate: point for point in report.points}
     for entry in baseline.get("points", []):
         rate = entry["rate"]
@@ -302,7 +315,4 @@ def check_baseline(report: SloBenchReport, baseline: dict) -> list[str]:
                     f"more than {BASELINE_TOLERANCE:.0%} from baseline "
                     f"{expected_p99:.3f} ms"
                 )
-    for gate in ("dominates", "recall_honest", "exact_below_saturation"):
-        if not getattr(report, gate):
-            problems.append(f"SLO property {gate!r} does not hold")
     return problems

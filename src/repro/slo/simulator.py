@@ -10,7 +10,7 @@ clock advances only by executed kernels' simulated cost, and every
 admission/degradation/shedding choice lands in a decision log.  Same
 seed, same trace ⇒ bit-identical answers, decisions, and latency
 digests; that is the property the overload test suite and the
-``slo-smoke`` CI gate pin down.
+``slo-bench`` entry of CI's ``smoke`` matrix pin down.
 
 Dispatch is per-query EDF: every cycle the scheduler re-evaluates the
 whole queue against the current clock (shedding newly-overdue work,

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.common import BASELINE_TOLERANCE, drifted
+from repro.bench.common import BASELINE_TOLERANCE, drifted, incomparable
 from repro.costmodel.streaming_model import StreamingModel
 from repro.data.stream import stream_chunk
 from repro.errors import InvalidParameterError
@@ -204,9 +204,23 @@ class StreamBenchReport:
     def fast_enough(self) -> bool:
         return self.measured_speedup >= GATE_SPEEDUP
 
+    def gates(self) -> list[tuple[bool, str]]:
+        return [
+            (
+                self.identical,
+                "an incremental answer is not bit-equal to its recompute "
+                "oracle",
+            ),
+            (
+                self.fast_enough,
+                f"incremental speedup {self.measured_speedup:.2f}x is "
+                f"below the {GATE_SPEEDUP:.1f}x gate",
+            ),
+        ]
+
     @property
     def passed(self) -> bool:
-        return self.identical and self.fast_enough
+        return all(ok for ok, _ in self.gates())
 
     def to_dict(self) -> dict:
         return {
@@ -389,14 +403,9 @@ def check_baseline(report: StreamBenchReport, baseline: dict) -> list[str]:
     measured speedup (within the shared tolerance), tick equality, and
     the pass verdict — never wall clock.
     """
-    if baseline.get("format") != REPORT_FORMAT:
-        return [f"baseline is not a {REPORT_FORMAT} document"]
-    if baseline.get("workload") != report.workload.to_dict():
-        return [
-            "baseline workload differs from the benchmarked stream: "
-            f"{baseline.get('workload')} vs {report.workload.to_dict()}"
-        ]
-    problems = []
+    problems = incomparable(baseline, REPORT_FORMAT, report.workload.to_dict())
+    if problems:
+        return problems
     for expected in baseline.get("points", []):
         arm = expected["arm"]
         point = report.point(arm)

@@ -15,8 +15,12 @@ from repro.bench.common import (
 
 
 class FakeReport:
-    def __init__(self, value=1.0):
+    def __init__(self, value=1.0, gates=()):
         self.value = value
+        self._gates = list(gates)
+
+    def gates(self):
+        return self._gates
 
     def to_dict(self):
         return {"value": self.value}
@@ -126,9 +130,8 @@ class TestFinishReport:
         baseline = tmp_path / "b.json"
         baseline.write_text(json.dumps({"value": 1.0}))
         status = finish_report(
-            FakeReport(1.0),
+            FakeReport(1.0, gates=[(True, "gate holds")]),
             parse(["--out", str(artifact), "--baseline", str(baseline)]),
-            gates=[(True, "gate holds")],
             check_baseline=fake_check,
         )
         assert status == 0
@@ -137,7 +140,7 @@ class TestFinishReport:
 
     def test_gate_failure_dominates(self, capsys):
         status = finish_report(
-            FakeReport(), parse([]), gates=[(False, "gate broke")]
+            FakeReport(gates=[(False, "gate broke")]), parse([])
         )
         assert status == 1
         assert "gate broke" in capsys.readouterr().err
@@ -146,9 +149,8 @@ class TestFinishReport:
         baseline = tmp_path / "b.json"
         baseline.write_text(json.dumps({"value": 9.0}))
         status = finish_report(
-            FakeReport(1.0),
+            FakeReport(1.0, gates=[(True, "fine")]),
             parse(["--baseline", str(baseline)]),
-            gates=[(True, "fine")],
             check_baseline=fake_check,
         )
         assert status == 1

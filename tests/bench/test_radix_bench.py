@@ -166,18 +166,6 @@ class TestCli:
         capsys.readouterr()
         assert main([*self.ARGS, "--baseline", str(out)]) == 0
 
-    def test_baseline_regression_exits_one(self, capsys, tmp_path):
-        out = tmp_path / "baseline.json"
-        assert main([*self.ARGS, "--json", "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        doc["points"][0]["radik_ms"] /= 10.0
-        out.write_text(json.dumps(doc))
-        capsys.readouterr()
-        status = main([*self.ARGS, "--baseline", str(out)])
-        captured = capsys.readouterr()
-        assert status == 1
-        assert "baseline regression" in captured.err
-
     def test_invalid_k_grid_exits_three(self, capsys):
         status = main(["radix-bench", "--k", "64", "--k", "32"])
         assert status == 3

@@ -1,5 +1,7 @@
 """Serve-bench: identity guarantee, cache effectiveness, baseline gating."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,14 @@ class TestBaselineGate:
         assert check_baseline(report, baseline) == []
         baseline["plan_cache"]["hit_rate"] = 1.5
         assert check_baseline(report, baseline)
+
+    def test_lost_batching_is_flagged(self, report):
+        unbatched = dataclasses.replace(
+            report, batcher={**report.batcher, "batches": 0}
+        )
+        assert check_baseline(unbatched, report.to_dict()) == [
+            "baseline batched, this run did not"
+        ]
 
     def test_workload_mismatch_is_flagged(self, report):
         baseline = report.to_dict()
