@@ -24,6 +24,9 @@ a second key.
 
 from __future__ import annotations
 
+from itertools import compress
+from typing import Sequence
+
 import numpy as np
 
 from repro.errors import InvalidParameterError
@@ -40,6 +43,11 @@ _WIDTHS = {
 
 _UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 _SIGNED = {1: np.int8, 2: np.int16, 4: np.int32, 8: np.int64}
+
+#: Key layouts (:func:`layout`): one packed ``uint64`` per row for data of
+#: 32 bits or less; codes plus a column key for 64-bit data.
+PACKED = "packed"
+CODES_AND_COLUMNS = "codes+column"
 
 #: Bits a packed key gives the row.
 ROW_BITS = 32
@@ -119,6 +127,12 @@ def canonical_order(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.lexsort((rows, ~codes))
 
 
+def layout(dtype: np.dtype) -> str:
+    """The key layout :func:`sort_keys` builds for ``dtype``: rows of one
+    layout can share a tile."""
+    return PACKED if np.dtype(dtype).itemsize <= 4 else CODES_AND_COLUMNS
+
+
 def sort_keys(
     data: np.ndarray, width: int | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -132,16 +146,50 @@ def sort_keys(
     """
     n = data.shape[-1]
     width = n if width is None else width
-    keys = np.zeros(data.shape[:-1] + (width,), dtype=np.uint64)
-    real = keys[..., :n]
-    real[...] = encode(data)
-    if data.dtype.itemsize <= 4 and width <= 1 << ROW_BITS:
+    codes = np.zeros(data.shape[:-1] + (width,), dtype=np.uint64)
+    codes[..., :n] = encode(data)
+    return _with_columns(codes, data.dtype, n)
+
+
+def tile_keys(
+    rows: Sequence[np.ndarray], width: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`sort_keys` of a tile: one ``width``-column row per row of
+    ``rows`` (a 2-D array, or 1-D rows whose lengths may differ and whose
+    dtypes share one :func:`layout`).
+
+    Each dtype is encoded once, over the concatenation of its rows.  The
+    slots past a row's length are padding, as in :func:`sort_keys`.
+    """
+    if isinstance(rows, np.ndarray):
+        return sort_keys(rows, width)
+    lengths = np.fromiter((len(row) for row in rows), np.int64, len(rows))
+    real = np.arange(width) < lengths[:, None]
+    codes = np.zeros(real.shape, dtype=np.uint64)
+    dtypes = [row.dtype for row in rows]
+    for dtype in set(dtypes):
+        same = [other == dtype for other in dtypes]
+        mask = real if all(same) else real & np.array(same)[:, None]
+        codes[mask] = encode(np.concatenate(list(compress(rows, same))))
+    return _with_columns(codes, dtypes[0], int(lengths.max()))
+
+
+def _with_columns(
+    codes: np.ndarray, dtype: np.dtype, n: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``codes`` (0 in every padding slot) with each slot's column as the
+    second key: packed into the codes for data of 32 bits or less, else
+    returned beside them.  Packing stops at ``n``, the longest row: the
+    slots past it stay key 0, whose packed column is ``2^32 - 1``."""
+    width = codes.shape[-1]
+    if layout(dtype) == PACKED and width <= 1 << ROW_BITS:
+        real = codes[..., :n]
         real <<= np.uint64(ROW_BITS)
         real |= _ROW_MASK - np.arange(n, dtype=np.uint64)
-        return keys, None
+        return codes, None
     row_dtype = np.int32 if width <= np.iinfo(np.int32).max else np.int64
-    rows = np.broadcast_to(np.arange(width, dtype=row_dtype), keys.shape).copy()
-    return keys, rows
+    rows = np.broadcast_to(np.arange(width, dtype=row_dtype), codes.shape).copy()
+    return codes, rows
 
 
 def key_rows(keys: np.ndarray, rows: np.ndarray | None, k: int) -> np.ndarray:

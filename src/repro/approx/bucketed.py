@@ -40,6 +40,7 @@ from repro.approx.config import ApproxConfig, default_config
 from repro.approx.delegate import group_delegates, group_members
 from repro.approx.recall import delegate_expected_recall, expected_recall
 from repro.bitonic.kernels import build_trace
+from repro.bitonic.network import next_pow2
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.bitonic.topk import BitonicTopK
 from repro.gpu.counters import ExecutionTrace
@@ -59,10 +60,6 @@ _REGISTER_BUDGET = 64
 
 #: Row-id bytes carried alongside each candidate key in the merge.
 _ROW_ID_BYTES = 4
-
-
-def _network_k(k: int) -> int:
-    return 1 << max(0, (k - 1).bit_length())
 
 
 def _bucket_topk_codes(
@@ -339,7 +336,7 @@ class ApproxBucketTopK(TopKAlgorithm):
         trace.extend(
             build_trace(
                 max(candidates, 1),
-                _network_k(k),
+                next_pow2(k),
                 width + _ROW_ID_BYTES,
                 self.flags,
                 self.device,
@@ -377,7 +374,7 @@ class ApproxBucketTopK(TopKAlgorithm):
         trace.extend(
             build_trace(
                 max(merge_input, 1),
-                _network_k(k),
+                next_pow2(k),
                 width + _ROW_ID_BYTES,
                 self.flags,
                 self.device,
@@ -391,7 +388,7 @@ class ApproxBucketTopK(TopKAlgorithm):
         """Global traffic of the exact bitonic plan on the same shape —
         the baseline the traffic-saved counter is measured against."""
         return build_trace(
-            model, _network_k(k), width, self.flags, self.device
+            model, next_pow2(k), width, self.flags, self.device
         ).global_bytes
 
     def _sorted_penalty(self, config: ApproxConfig) -> bool:

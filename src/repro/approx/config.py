@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.bitonic.network import next_pow2
 from repro.errors import InvalidParameterError
 
 #: Default oversampling factor m: keep m * ceil(k/b) per bucket.  Three
@@ -95,5 +96,5 @@ def default_config(n: int, k: int) -> ApproxConfig:
         raise InvalidParameterError(
             f"invalid approximate top-k configuration: n = {n}, k = {k}"
         )
-    buckets = 1 << max(0, (max(1, k // 8) - 1).bit_length())
+    buckets = next_pow2(max(1, k // 8))
     return ApproxConfig(buckets=max(1, min(buckets, n)))

@@ -30,6 +30,11 @@ from dataclasses import dataclass
 from repro.errors import InvalidParameterError
 
 
+def next_pow2(value: int) -> int:
+    """The smallest power of two >= ``value``, for positive ``value``."""
+    return 1 << max(0, (value - 1).bit_length())
+
+
 def is_power_of_two(value: int) -> bool:
     """True for 1, 2, 4, 8, ..."""
     return value > 0 and value & (value - 1) == 0

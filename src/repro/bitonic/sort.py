@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.algorithms import keys as keycodec
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
-from repro.bitonic.network import full_sort_steps
+from repro.bitonic.network import full_sort_steps, next_pow2
 from repro.bitonic.operators import apply_step
 from repro.errors import InvalidParameterError
 from repro.gpu.banks import single_step_conflict_factor
@@ -45,7 +45,7 @@ def bitonic_sort(
     n = len(values)
     if n == 0:
         return values.copy(), payload.copy() if payload is not None else None
-    padded_n = 1 << max(0, (n - 1).bit_length())
+    padded_n = next_pow2(n)
     if values.dtype.kind == "f":
         sentinel = np.inf
     else:
@@ -88,7 +88,7 @@ class BitonicSortTopK(TopKAlgorithm):
 
     def _build_trace(self, model_n: int, width: int) -> ExecutionTrace:
         trace = ExecutionTrace()
-        padded_n = 1 << max(0, (model_n - 1).bit_length())
+        padded_n = next_pow2(model_n)
         data_bytes = float(model_n) * width
         tile_distance = SHARED_TILE_ELEMENTS // 2
         global_steps = 0

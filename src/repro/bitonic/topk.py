@@ -24,14 +24,11 @@ from repro import observability as obs
 from repro.algorithms import keys as keycodec
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
 from repro.bitonic.kernels import build_trace, memory_overhead_bytes
+from repro.bitonic.network import next_pow2
 from repro.bitonic.operators import reduce_topk
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.errors import InvalidParameterError
 from repro.gpu.device import DeviceSpec
-
-
-def _next_power_of_two(value: int) -> int:
-    return 1 << max(0, (value - 1).bit_length())
 
 
 class BitonicTopK(TopKAlgorithm):
@@ -61,8 +58,8 @@ class BitonicTopK(TopKAlgorithm):
             raise InvalidParameterError(
                 f"bitonic top-k supports k <= {self.max_k}, got {k}"
             )
-        network_k = _next_power_of_two(k)
-        padded_n = max(_next_power_of_two(n), network_k)
+        network_k = next_pow2(k)
+        padded_n = max(next_pow2(n), network_k)
         keys, rows = keycodec.sort_keys(data, padded_n)
         with obs.span(
             "phase:bitonic-reduce",

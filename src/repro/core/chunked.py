@@ -27,6 +27,7 @@ import numpy as np
 from repro import observability as obs
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
 from repro.algorithms.registry import create
+from repro.bitonic.network import next_pow2
 from repro.bitonic.topk import BitonicTopK
 from repro.gpu import faults
 from repro.gpu.counters import ExecutionTrace
@@ -184,7 +185,7 @@ def _chunk_compute_seconds(
     if isinstance(algorithm, BitonicTopK):
         from repro.bitonic.kernels import build_trace
 
-        network_k = 1 << max(0, (k - 1).bit_length())
+        network_k = next_pow2(k)
         trace = build_trace(
             chunk_elements, network_k, dtype.itemsize, algorithm.flags, device
         )

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.algorithms.base import TopKResult, validate_topk_args
 from repro.bitonic.kernels import build_trace
+from repro.bitonic.network import next_pow2
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.bitonic.topk import BitonicTopK
 from repro.errors import InvalidParameterError
@@ -64,7 +65,7 @@ def topk_where(
         result_rows = np.empty(0, dtype=np.int64)
 
     width = values.dtype.itemsize
-    network_k = 1 << max(0, (max(effective_k, 1) - 1).bit_length())
+    network_k = next_pow2(max(effective_k, 1))
     trace = ExecutionTrace()
     fused = build_trace(matched_model, network_k, width, flags, device)
     first = fused.kernels[0]

@@ -23,6 +23,7 @@ import numpy as np
 from repro.approx.config import ApproxConfig
 from repro.approx.recall import delegate_expected_recall, expected_recall
 from repro.bitonic.kernels import build_trace
+from repro.bitonic.network import next_pow2
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.costmodel.base import UNIFORM_FLOAT, CostModel, WorkloadProfile
 from repro.gpu.occupancy import register_spill_fraction
@@ -36,10 +37,6 @@ _ROW_ID_BYTES = 4
 #: merge network shapes friendly and the search tiny).
 _BUCKET_CANDIDATES = tuple(1 << i for i in range(0, 13))
 _OVERSAMPLE_CANDIDATES = (1, 2, 3, 4)
-
-
-def _network_k(k: int) -> int:
-    return 1 << max(0, (k - 1).bit_length())
 
 
 class ApproxTopKModel(CostModel):
@@ -123,7 +120,7 @@ class ApproxTopKModel(CostModel):
         )
 
     def _merge_seconds(self, n: int, k: int, width: int) -> float:
-        trace = build_trace(n, _network_k(k), width, self.flags, self.device)
+        trace = build_trace(n, next_pow2(k), width, self.flags, self.device)
         total = 0.0
         for kernel in trace.kernels:
             global_time = kernel.global_bytes / self.device.global_bandwidth

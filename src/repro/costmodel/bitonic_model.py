@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bitonic.kernels import build_trace
+from repro.bitonic.network import next_pow2
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.costmodel.base import UNIFORM_FLOAT, CostModel, WorkloadProfile
 
@@ -46,7 +47,7 @@ class BitonicModel(CostModel):
         profile: WorkloadProfile = UNIFORM_FLOAT,
     ) -> float:
         dtype = np.dtype(dtype)
-        network_k = 1 << max(0, (k - 1).bit_length())
+        network_k = next_pow2(k)
         trace = build_trace(n, network_k, dtype.itemsize, self.flags, self.device)
         total = 0.0
         for kernel in trace.kernels:
@@ -60,7 +61,7 @@ class BitonicModel(CostModel):
     ) -> list[tuple[str, float, float]]:
         """(name, T_g, T_k) per kernel — the Section 7.2 worked example."""
         dtype = np.dtype(dtype)
-        network_k = 1 << max(0, (k - 1).bit_length())
+        network_k = next_pow2(k)
         trace = build_trace(n, network_k, dtype.itemsize, self.flags, self.device)
         breakdown = []
         for kernel in trace.kernels:

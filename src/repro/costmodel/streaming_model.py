@@ -32,6 +32,7 @@ import math
 import numpy as np
 
 from repro.bitonic.kernels import build_trace
+from repro.bitonic.network import next_pow2
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.costmodel.base import UNIFORM_FLOAT, CostModel, WorkloadProfile
 from repro.errors import InvalidParameterError
@@ -84,7 +85,7 @@ class StreamingModel(CostModel):
     # -- the two maintenance modes --------------------------------------
 
     def _bitonic_seconds(self, n: int, k: int, dtype: np.dtype) -> float:
-        network_k = 1 << max(0, (k - 1).bit_length())
+        network_k = next_pow2(k)
         trace = build_trace(
             max(n, 1), network_k, np.dtype(dtype).itemsize,
             self.flags, self.device,

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.algorithms import keys as keycodec
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
-from repro.bitonic.network import topk_total_comparisons
+from repro.bitonic.network import next_pow2, topk_total_comparisons
 from repro.bitonic.operators import local_sort, merge, rebuild, reduce_topk
 from repro.cpu.spec import I7_6900, CpuSpec
 from repro.errors import InvalidParameterError
@@ -38,10 +38,6 @@ VECTOR_SIZE = 2048
 
 #: Reduction factor per phase, matching the GPU kernels' 16 elements/thread.
 REDUCTION_FACTOR = 16
-
-
-def _next_power_of_two(value: int) -> int:
-    return 1 << max(0, (value - 1).bit_length())
 
 
 def vector_sort_reduce(
@@ -78,7 +74,7 @@ def partition_bitonic_topk(
     Returns the partition's top-k rows (all of them when it holds fewer)
     as ``(values, global rows)`` in the canonical order.
     """
-    n = _next_power_of_two(max(len(partition), k))
+    n = next_pow2(max(len(partition), k))
     keys, rows = keycodec.sort_keys(partition, n)
 
     pieces: list[tuple[np.ndarray, np.ndarray | None]] = []
@@ -123,7 +119,7 @@ class CpuBitonicTopK(TopKAlgorithm):
             raise InvalidParameterError("cpu-bitonic supports k <= 2048")
         n = len(data)
         model = model_n or n
-        network_k = _next_power_of_two(k)
+        network_k = next_pow2(k)
 
         partitions = np.array_split(data, self.cpu.cores)
         offsets = np.cumsum([0] + [len(p) for p in partitions[:-1]])
@@ -133,7 +129,7 @@ class CpuBitonicTopK(TopKAlgorithm):
             if len(partition) == 0:
                 continue
             values, rows = partition_bitonic_topk(
-                partition, min(network_k, _next_power_of_two(max(len(partition), 1))),
+                partition, min(network_k, next_pow2(max(len(partition), 1))),
                 int(offset),
             )
             values_list.append(values)
@@ -144,7 +140,7 @@ class CpuBitonicTopK(TopKAlgorithm):
 
         trace = ExecutionTrace()
         counters = trace.launch("cpu-bitonic")
-        comparisons = topk_total_comparisons(_next_power_of_two(model), network_k)
+        comparisons = topk_total_comparisons(next_pow2(model), network_k)
         cycles = comparisons * self.cpu.bitonic_compare_cycles / self.cpu.simd_width
         compute_seconds = self.cpu.compute_time(cycles)
         scan_seconds = self.cpu.scan_time(float(model) * data.dtype.itemsize)

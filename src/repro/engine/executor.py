@@ -27,6 +27,7 @@ import numpy as np
 
 from repro import observability as obs
 from repro.bitonic.kernels import build_trace
+from repro.bitonic.network import next_pow2
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.engine.operators import SelectionOperator, run_once
 from repro.engine.sql import Query, parse
@@ -656,8 +657,7 @@ class QueryExecutor:
                     trace.extend(
                         build_trace(
                             model_groups,
-                            1
-                            << max(0, (max(query.limit, 1) - 1).bit_length()),
+                            next_pow2(max(query.limit, 1)),
                             CANDIDATE_ROW_BYTES,
                             self.flags,
                             self.device,

@@ -30,6 +30,7 @@ from repro.plan.plan import (
     BATCHABLE_ALGORITHMS,
     PlanChoice,
     TopKPlan,
+    batch_key,
     build_fallback,
     network_k,
     operator_node,
@@ -55,6 +56,7 @@ __all__ = [
     "Stream",
     "TopK",
     "TopKPlan",
+    "batch_key",
     "bind_plan",
     "build_fallback",
     "network_k",

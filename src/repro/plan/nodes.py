@@ -268,16 +268,22 @@ class Batch(PlanNode):
     """A fused cross-query launch compatibility group.
 
     Two serving requests may ride one batched launch iff their Batch
-    nodes fingerprint identically: same row length, dtype, padded network
-    width, recall expectation, and approximate configuration.
+    nodes fingerprint identically: same tile, recall expectation,
+    approximate configuration and kernel family.  A bitonic tile is a
+    padded width ``next_pow2(n)`` and a key layout (packed for data of 32
+    bits or less, codes plus a column key for 64-bit data), so n, k and
+    the 32-bit dtype are not part of it.  A radix tile is the exact row
+    length, dtype and ``network_k``: its fused kernel needs one dense
+    matrix.
     """
 
     kind: ClassVar[str] = "Batch"
 
     child: PlanNode = field(default_factory=Scan)
-    n: int = 0
-    dtype: str = "float32"
-    network_k: int = 1
+    width: int = 0
+    layout: str = "packed"
+    #: Radix tiles only: the padded ``next_pow2(k)`` their riders share.
+    network_k: int | None = None
     recall_target: float = 1.0
     approx_key: tuple | None = None
     #: The fused kernel family serving the group ("bitonic" or "radik"):

@@ -18,6 +18,10 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from repro.algorithms import keys as keycodec
+from repro.bitonic.network import next_pow2
 from repro.plan.nodes import (
     CPU_FALLBACK,
     PLAN_FORMAT,
@@ -42,7 +46,39 @@ BATCHABLE_ALGORITHM = "bitonic"
 
 def network_k(k: int) -> int:
     """The padded (power-of-two) width of the bitonic network for ``k``."""
-    return 1 << max(0, (k - 1).bit_length())
+    return next_pow2(k)
+
+
+def batch_key(
+    n: int,
+    k: int,
+    dtype,
+    kernel: str = BATCHABLE_ALGORITHM,
+    recall_target: float = 1.0,
+    approx_key: tuple | None = None,
+) -> Batch:
+    """The :class:`Batch` node of an ``n``-row, top-``k`` ``dtype`` request.
+
+    A bitonic rider keys on its tile: the padded width ``next_pow2(n)``
+    and the key layout, so any n inside one width, any k, and float32,
+    int32 or uint32 rows share a launch.  A radix rider keeps its exact n,
+    dtype and ``network_k(k)``: its fused kernel needs one dense matrix of
+    one dtype, and only riders of one network width share its launch.
+    """
+    if kernel == "radik":
+        width, layout = int(n), str(np.dtype(dtype))
+        radix_k = network_k(int(k))
+    else:
+        width, layout = next_pow2(int(n)), keycodec.layout(dtype)
+        radix_k = None
+    return Batch(
+        width=width,
+        layout=layout,
+        network_k=radix_k,
+        recall_target=float(recall_target),
+        approx_key=approx_key,
+        kernel=kernel,
+    )
 
 
 def request_fingerprint(
@@ -247,32 +283,32 @@ class TopKPlan:
             return self.root.alternatives[0]
         return self.root
 
-    def batch_node(self, n: int | None = None, k: int | None = None,
-                   dtype: str | None = None) -> Batch:
+    def batch_node(
+        self, n: int | None = None, k: int | None = None, dtype: str | None = None
+    ) -> Batch:
         """The :class:`Batch` compatibility-group node for this plan.
 
         Two serving requests may share a fused launch iff their batch
-        nodes fingerprint identically.  ``n``/``k``/``dtype`` default to
-        the planned configuration; callers holding the actual payload
-        (the serving layer) pass theirs explicitly.  The node carries no
-        child on purpose: compatibility is *exactly* its own fields — the
-        padded ``network_k``, not the literal k, so k=9 and k=12 riders
-        share a 16-wide network.
+        nodes fingerprint identically.  ``n``/``k``/``dtype`` default to the
+        planned configuration; callers holding the actual payload (the
+        serving layer) pass theirs explicitly.  The node carries no child
+        on purpose: compatibility is *exactly* its own fields (see
+        :func:`batch_key`).
         """
         approx_key = None
         if self.approx_config is not None and self.algorithm == "approx-bucket":
             approx_key = self.approx_config.key()
-        return Batch(
-            n=int(n if n is not None else self.n),
-            dtype=str(dtype if dtype is not None else self.dtype),
-            network_k=network_k(int(k if k is not None else self.k)),
-            recall_target=float(self.recall_target),
-            approx_key=approx_key,
+        return batch_key(
+            int(n if n is not None else self.n),
+            int(k if k is not None else self.k),
+            dtype if dtype is not None else self.dtype,
             kernel=(
                 self.algorithm
                 if self.algorithm in BATCHABLE_ALGORITHMS
                 else BATCHABLE_ALGORITHM
             ),
+            recall_target=self.recall_target,
+            approx_key=approx_key,
         )
 
     @property

@@ -3,26 +3,31 @@
 The paper's own motivation for the batched kernel (TensorFlow/ArrayFire
 want the batched form so per-row launches amortize) applied to *serving*:
 when many small independent top-k queries are in flight at once, queries
-with the same row shape and padded network width are stacked into a
-``[batch, n]`` matrix and answered by a single
+that fit one tile are answered by a single
 :func:`~repro.core.batched.batched_topk` launch — one fused execution
 trace instead of N single-row traces.
 
 Eligibility is decided on the plan IR: every planned request derives a
-:class:`~repro.plan.Batch` compatibility node (row length, dtype, padded
-network width ``network_k = next_pow2(k)``, recall expectation, the
-planned approximate configuration, and the fused kernel family), and two
-requests share a fused launch iff their Batch nodes **fingerprint
-identically** and the plan cache picked a *batchable* algorithm — the
-bitonic network (:func:`~repro.core.batched.batched_topk`) or the
-RadiK-style radix select
-(:func:`~repro.algorithms.radik.batched_radik_topk`).  The kernel family
-rides in the Batch node, so bitonic-planned and radix-planned queries
-never share a launch: each fused kernel *is* its algorithm, and batching
-a query the cost models routed elsewhere could change its answer's
-tie-breaking.  Queries with different literal ``k`` still share a batch
-because both kernels emit rows in canonical descending order and a
-smaller k is a prefix of the result (see ``docs/serving.md``).
+:class:`~repro.plan.Batch` compatibility node (:func:`repro.plan.batch_key`:
+the tile, the recall expectation, the planned approximate configuration,
+and the fused kernel family), and two requests share a bucket iff their
+Batch nodes **fingerprint identically** and the plan cache picked a
+*batchable* algorithm — the bitonic network
+(:func:`~repro.core.batched.batched_topk`) or the RadiK-style radix select
+(:func:`~repro.algorithms.radik.batched_radik_topk`).  A bitonic tile is a
+padded width ``next_pow2(n)`` and a key layout, so rows of any n inside
+one width, any k, and float32, int32 or uint32 data share a
+``(rows, width)`` tile; a radix tile is one exact n, dtype and
+``network_k = next_pow2(k)``.  The kernel family rides in the Batch node,
+so bitonic-planned and radix-planned queries never share a launch: each
+fused kernel *is* its algorithm.
+
+A fused launch runs at the largest ``network_k`` of its riders, and each
+rider takes its own k-prefix (both kernels emit rows in canonical
+descending order).  A bitonic bucket whose riders need different network
+widths is split by ``network_k`` only when the simulated clock prices the
+split launches cheaper than the one fused launch (:func:`launch_price_ms`,
+memoized); see ``docs/serving.md``.
 
 A batch that hits an injected device fault is not failed: it falls back to
 per-query execution through :class:`~repro.resilience.ResilientExecutor`,
@@ -31,6 +36,7 @@ whose retry/fallback chain ends on the CPU heap.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -38,8 +44,8 @@ import numpy as np
 
 from repro import observability as obs
 from repro.algorithms.radik import batched_radik_topk
-from repro.bitonic.optimizations import FULL
-from repro.core.batched import batched_topk
+from repro.bitonic.optimizations import FULL, OptimizationFlags
+from repro.core.batched import RaggedRows, batched_topk, batched_trace
 from repro.costmodel.base import UNIFORM_FLOAT, WorkloadProfile
 from repro.errors import FaultError, ResourceExhaustedError
 from repro.gpu import faults
@@ -52,6 +58,7 @@ from repro.plan import (
     Batch,
     BoundPlan,
     TopKPlan,
+    batch_key,
     bind_plan,
 )
 
@@ -71,9 +78,29 @@ from repro.serving.plan_cache import PlanCache
 #: chunks larger backlogs into consecutive launches of at most this size.
 DEFAULT_MAX_BATCH = 128
 
+#: Distinct fused launches kept priced by :func:`launch_price_ms`.
+PRICE_CACHE_SIZE = 1024
+
 #: Backwards-compatible alias: the batch compatibility key *is* the plan
 #: IR's Batch node now; requests group on its fingerprint.
 BatchKey = Batch
+
+
+@functools.lru_cache(maxsize=PRICE_CACHE_SIZE)
+def launch_price_ms(
+    key: Batch,
+    network_k: int,
+    rows: int,
+    itemsize: int,
+    flags: OptimizationFlags,
+    device: DeviceSpec,
+) -> float:
+    """Simulated ms of one fused bitonic launch of ``rows`` riders of
+    ``key``'s tile at ``network_k``, priced from its trace
+    (:func:`~repro.core.batched.batched_trace`)."""
+    with faults.suspended():
+        trace = batched_trace(key.width, network_k, itemsize, rows, flags, device)
+        return trace_time(trace, device).total_ms
 
 
 @dataclass
@@ -118,13 +145,10 @@ class ServingRequest:
         """The request's :class:`~repro.plan.Batch` compatibility node."""
         if self.plan is not None:
             return self.plan.batch_node(
-                n=len(self.data), k=self.k, dtype=str(self.data.dtype)
+                n=len(self.data), k=self.k, dtype=self.data.dtype
             )
-        return Batch(
-            n=len(self.data),
-            dtype=str(self.data.dtype),
-            network_k=network_k(self.k),
-            recall_target=float(self.recall_target),
+        return batch_key(
+            len(self.data), self.k, self.data.dtype, recall_target=self.recall_target
         )
 
     @property
@@ -156,6 +180,33 @@ class QueryOutcome:
     #: (1.0 for exact answers).
     degraded: bool = False
     expected_recall: float = 1.0
+
+    @classmethod
+    def of(
+        cls,
+        request: ServingRequest,
+        values: np.ndarray,
+        indices: np.ndarray,
+        algorithm: str,
+        simulated_ms: float,
+        **flags,
+    ) -> QueryOutcome:
+        """The outcome of ``request``; ``flags`` are the batching and
+        fallback fields, and everything else comes from the request."""
+        return cls(
+            values=values,
+            indices=indices,
+            k=request.k,
+            n=len(request.data),
+            algorithm=algorithm,
+            plan=request.plan,
+            simulated_ms=simulated_ms,
+            queue_wait_wall_ms=request.queue_wait_wall_ms,
+            queue_wait_sim_ms=request.queue_wait_sim_ms,
+            degraded=request.degraded,
+            expected_recall=request.expected_recall,
+            **flags,
+        )
 
     @property
     def simulated_share_ms(self) -> float:
@@ -224,23 +275,47 @@ class CrossQueryBatcher:
         order within each group.
 
         Batch-eligible requests with the same :class:`BatchKey` share a
-        group (chunked at ``max_batch``); everything else runs alone.
+        bucket (chunked at ``max_batch``), which :meth:`_split` may divide
+        by network width; everything else runs alone.
         """
-        groups: list[list[ServingRequest]] = []
+        buckets: list[tuple[Batch | None, list[ServingRequest]]] = []
         open_group: dict[BatchKey, list[ServingRequest]] = {}
         for request in requests:
             if request.plan is None:
                 self.plan(request)
             if not request.batchable:
-                groups.append([request])
+                buckets.append((None, [request]))
                 continue
-            bucket = open_group.setdefault(request.key, [])
+            key = request.key
+            bucket = open_group.setdefault(key, [])
             bucket.append(request)
             if len(bucket) == 1:
-                groups.append(bucket)
+                buckets.append((key, bucket))
             if len(bucket) >= self.max_batch:
-                del open_group[request.key]
-        return groups
+                del open_group[key]
+        return [part for key, bucket in buckets for part in self._split(key, bucket)]
+
+    def _split(
+        self, key: Batch | None, bucket: list[ServingRequest]
+    ) -> list[list[ServingRequest]]:
+        """The bucket as one fused launch at its largest ``network_k``, or
+        one launch per ``network_k`` when the simulated clock prices those
+        launches cheaper in total."""
+        parts: dict[int, list[ServingRequest]] = {}
+        for request in bucket:
+            parts.setdefault(network_k(request.k), []).append(request)
+        if len(parts) == 1:
+            return [bucket]
+        itemsize = bucket[0].data.dtype.itemsize
+
+        def price(network: int, rows: int) -> float:
+            return launch_price_ms(
+                key, network, rows, itemsize, self.flags, self.device
+            )
+
+        fused = price(max(parts), len(bucket))
+        split = sum(price(network, len(part)) for network, part in parts.items())
+        return list(parts.values()) if split < fused else [bucket]
 
     # -- execution --------------------------------------------------------
 
@@ -282,18 +357,17 @@ class CrossQueryBatcher:
     def _execute_batched(
         self, group: list[ServingRequest]
     ) -> list[QueryOutcome]:
-        max_k = max(request.k for request in group)
-        matrix = np.stack([request.data for request in group])
         # The whole group shares one Batch fingerprint, which includes the
-        # planned kernel family — dispatch the matching fused launch.
-        # Smaller-k riders take a prefix of the fused result either way:
-        # both kernels emit rows in the canonical descending order.
+        # planned kernel family — dispatch the matching fused launch.  Each
+        # rider takes its own k-prefix: both kernels emit rows in the
+        # canonical descending order.
+        ks = [request.k for request in group]
         if group[0].plan.algorithm == "radik":
-            result = batched_radik_topk(matrix, max_k, device=self.device)
+            matrix = np.stack([request.data for request in group])
+            result = batched_radik_topk(matrix, max(ks), device=self.device)
         else:
-            result = batched_topk(
-                matrix, max_k, device=self.device, flags=self.flags
-            )
+            rows = RaggedRows(request.data for request in group)
+            result = batched_topk(rows, ks, device=self.device, flags=self.flags)
         simulated_ms = trace_time(result.trace, self.device).total_ms
         self.batches += 1
         self.batched_queries += len(group)
@@ -301,26 +375,18 @@ class CrossQueryBatcher:
         self._count("serving.batches")
         self._count("serving.batched_queries", len(group))
         self._observe_batch(len(group), simulated_ms)
-        outcomes = []
-        for row, request in enumerate(group):
-            outcomes.append(
-                QueryOutcome(
-                    values=result.values[row, : request.k].copy(),
-                    indices=result.indices[row, : request.k].copy(),
-                    k=request.k,
-                    n=len(request.data),
-                    algorithm=result.algorithm,
-                    plan=request.plan,
-                    batched=True,
-                    batch_size=len(group),
-                    simulated_ms=simulated_ms,
-                    queue_wait_wall_ms=request.queue_wait_wall_ms,
-                    queue_wait_sim_ms=request.queue_wait_sim_ms,
-                    degraded=request.degraded,
-                    expected_recall=request.expected_recall,
-                )
+        return [
+            QueryOutcome.of(
+                request,
+                result.values[row][: request.k],
+                result.indices[row][: request.k],
+                result.algorithm,
+                simulated_ms,
+                batched=True,
+                batch_size=len(group),
             )
-        return outcomes
+            for row, request in enumerate(group)
+        ]
 
     def _execute_single(self, request: ServingRequest) -> QueryOutcome:
         try:
@@ -332,23 +398,10 @@ class CrossQueryBatcher:
             result = bound.run(request.data, request.k)
         except (FaultError, ResourceExhaustedError):
             return self._execute_resilient(request)
-        simulated_ms = trace_time(result.trace, self.device).total_ms
+        outcome = self._answer(request, result)
         self.single_queries += 1
-        self.simulated_ms_total += simulated_ms
         self._count("serving.single_queries")
-        return QueryOutcome(
-            values=result.values,
-            indices=result.indices,
-            k=request.k,
-            n=len(request.data),
-            algorithm=result.algorithm,
-            plan=request.plan,
-            simulated_ms=simulated_ms,
-            queue_wait_wall_ms=request.queue_wait_wall_ms,
-            queue_wait_sim_ms=request.queue_wait_sim_ms,
-            degraded=request.degraded,
-            expected_recall=request.expected_recall,
-        )
+        return outcome
 
     def _execute_resilient(self, request: ServingRequest) -> QueryOutcome:
         """Per-query fallback: the resilience layer's retry/fallback chain
@@ -360,23 +413,22 @@ class CrossQueryBatcher:
             algorithm=request.plan.algorithm,
             profile=self.profile,
         )
-        simulated_ms = trace_time(result.trace, self.device).total_ms
+        outcome = self._answer(request, result, fell_back=True)
         self.fallback_queries += 1
-        self.simulated_ms_total += simulated_ms
         self._count("serving.fallback_queries")
-        return QueryOutcome(
-            values=result.values,
-            indices=result.indices,
-            k=request.k,
-            n=len(request.data),
-            algorithm=result.algorithm,
-            plan=request.plan,
-            simulated_ms=simulated_ms,
-            fell_back=True,
-            queue_wait_wall_ms=request.queue_wait_wall_ms,
-            queue_wait_sim_ms=request.queue_wait_sim_ms,
-            degraded=request.degraded,
-            expected_recall=request.expected_recall,
+        return outcome
+
+    def _answer(self, request: ServingRequest, result, **flags) -> QueryOutcome:
+        """One query's own launch, priced and added to the running total."""
+        simulated_ms = trace_time(result.trace, self.device).total_ms
+        self.simulated_ms_total += simulated_ms
+        return QueryOutcome.of(
+            request,
+            result.values,
+            result.indices,
+            result.algorithm,
+            simulated_ms,
+            **flags,
         )
 
     # -- stats ------------------------------------------------------------

@@ -278,8 +278,9 @@ def check_baseline(report: ServeBenchReport, baseline: dict) -> list[str]:
 
     Returns the list of violations (empty = pass).  Only deterministic
     quantities are gated — simulated milliseconds, the cache hit rate and
-    whether any queries were batched — never wall clock, which depends on
-    the machine.
+    the number of fused launches (more launches than the baseline means
+    fewer riders per launch) — never wall clock, which depends on the
+    machine.
     """
     problems = incomparable(baseline, REPORT_FORMAT, report.workload.to_dict())
     if problems:
@@ -298,8 +299,13 @@ def check_baseline(report: ServeBenchReport, baseline: dict) -> list[str]:
             f"plan cache hit rate {report.hit_rate:.1%} fell below baseline "
             f"{expected_rate:.1%}"
         )
-    if baseline.get("batcher", {}).get("batches") and not report.batcher.get(
-        "batches"
-    ):
+    expected_batches = baseline.get("batcher", {}).get("batches")
+    batches = report.batcher.get("batches", 0)
+    if expected_batches and not batches:
         problems.append("baseline batched, this run did not")
+    elif expected_batches and batches > expected_batches:
+        problems.append(
+            f"{batches} fused launches exceed the baseline's "
+            f"{expected_batches}: fewer riders per launch"
+        )
     return problems

@@ -134,10 +134,40 @@ class PlanCache:
 
         A miss plans *and binds* the winner, inserting the resulting
         :class:`BoundPlan` so :meth:`bound` can serve it without another
-        registry trip.  This is also the planning seam: everything the
-        serving layer executes was planned through this method.
+        registry trip.
         """
         key = self.key(n, k, dtype, profile, recall_target)
+        return self._lookup(key, n, k, dtype, profile, recall_target).plan
+
+    def bound(
+        self,
+        n: int,
+        k: int,
+        dtype: np.dtype = np.dtype(np.float32),
+        profile: WorkloadProfile = UNIFORM_FLOAT,
+        recall_target: float = 1.0,
+    ) -> BoundPlan:
+        """The bound executable plan for a shape — the cache-hit fast
+        path hands the prepared runner straight to the caller.
+
+        Shares :meth:`choose`'s lookup, so the request is hashed once and
+        hits, misses and evictions count exactly as they do there.
+        """
+        key = self.key(n, k, dtype, profile, recall_target)
+        return self._lookup(key, n, k, dtype, profile, recall_target)
+
+    def _lookup(
+        self,
+        key: PlanKey,
+        n: int,
+        k: int,
+        dtype: np.dtype,
+        profile: WorkloadProfile,
+        recall_target: float,
+    ) -> BoundPlan:
+        """The bound plan cached under ``key``, planned and bound on a
+        miss.  This is the planning seam: everything the serving layer
+        executes was planned here."""
         if self.enabled:
             with self._lock:
                 entry = self._entries.get(key)
@@ -145,7 +175,7 @@ class PlanCache:
                     self._entries.move_to_end(key)
                     self.hits += 1
                     self._publish("hits")
-                    return entry.plan
+                    return entry
         # Plan and bind outside the lock: cost-model evaluation is the
         # expensive part and must not serialize unrelated lookups.
         plan = self.planner.choose(
@@ -166,36 +196,13 @@ class PlanCache:
                     # A concurrent miss beat us to the insert; keep the
                     # first bound plan so hits stay referentially stable.
                     self._entries.move_to_end(key)
-                    return existing.plan
+                    return existing
                 self._entries[key] = entry
                 if len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     self.evictions += 1
                     self._publish("evictions")
-        return entry.plan
-
-    def bound(
-        self,
-        n: int,
-        k: int,
-        dtype: np.dtype = np.dtype(np.float32),
-        profile: WorkloadProfile = UNIFORM_FLOAT,
-        recall_target: float = 1.0,
-    ) -> BoundPlan:
-        """The bound executable plan for a shape — the cache-hit fast
-        path hands the prepared runner straight to the caller.
-
-        Delegates planning to :meth:`choose` (so tests and callers that
-        patch or wrap ``choose`` see every planning request), then reads
-        the bound entry it inserted; only a disabled cache re-binds.
-        """
-        key = self.key(n, k, dtype, profile, recall_target)
-        plan = self.choose(n, k, dtype, profile, recall_target=recall_target)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                return entry
-        return bind_plan(plan, self.planner.device)
+        return entry
 
     # -- introspection ----------------------------------------------------
 

@@ -92,3 +92,22 @@ class TestBatchedTopK:
             batched_topk(rng.random((2, 8)).astype(np.float32), 0)
         with pytest.raises(InvalidParameterError):
             batched_topk(rng.random((2, 8)).astype(np.float32), 9)
+
+    def test_per_row_k_of_the_wrong_length_is_typed(self, rng):
+        matrix = rng.random((3, 8)).astype(np.float32)
+        with pytest.raises(InvalidParameterError):
+            batched_topk(matrix, [2, 2])
+        with pytest.raises(InvalidParameterError):
+            batched_topk(matrix, [[2, 2, 2]])
+
+    def test_nested_list_is_a_uniform_matrix(self):
+        result = batched_topk([[1.0, 5.0, 3.0], [4.0, 2.0, 6.0]], 2)
+        assert isinstance(result.values, np.ndarray)
+        assert result.values.tolist() == [[5.0, 3.0], [6.0, 4.0]]
+        assert result.indices.tolist() == [[1, 2], [2, 0]]
+
+    def test_per_row_k_on_a_matrix_takes_each_prefix(self, rng):
+        matrix = rng.random((3, 16)).astype(np.float32)
+        result = batched_topk(matrix, [1, 16, 5])
+        for row, k in enumerate([1, 16, 5]):
+            assert np.array_equal(result.values[row], _oracle(matrix, k)[row])

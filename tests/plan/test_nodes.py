@@ -182,12 +182,16 @@ class TestTopKPlan:
             n=512,
             k=9,
         )
-        nine = plan.batch_node(n=512, k=9)
-        twelve = plan.batch_node(n=512, k=12)
-        eight = plan.batch_node(n=512, k=8)
-        assert nine.network_k == 16
-        assert nine.fingerprint() == twelve.fingerprint()
-        assert nine.fingerprint() != eight.fingerprint()
+        # The node keys on the tile: neither k nor the exact n is in it, and
+        # float32, int32 and uint32 rows share the packed key layout.
+        tile = plan.batch_node(n=512, dtype="float32")
+        assert (tile.width, tile.layout) == (512, "packed")
+        for n, dtype in ((300, "float32"), (257, "int32"), (512, "uint32")):
+            assert plan.batch_node(n=n, dtype=dtype).fingerprint() == tile.fingerprint()
+        assert plan.batch_node(n=513).fingerprint() != tile.fingerprint()
+        wide = plan.batch_node(n=512, dtype="float64")
+        assert wide.layout == "codes+column"
+        assert wide.fingerprint() != tile.fingerprint()
 
     def test_planner_plan_fingerprints_only_on_identity(self, device):
         planner = TopKPlanner(device)

@@ -46,14 +46,22 @@ class TestGrouping:
         assert len(groups) == 1
         assert len(groups[0]) == 6
 
-    def test_different_padded_k_share_when_network_matches(self, device, rng):
-        # k = 9 and k = 12 both pad to a 16-wide network -> one batch.
+    def test_mixed_k_share_one_padded_width(self, device, rng):
+        # k = 9 and k = 12 need a 16-wide network and k = 8 an 8-wide one,
+        # but all three rows pad to one 512-wide tile -> one batch.
         batcher = CrossQueryBatcher(device=device)
         a = ServingRequest(data=rng.random(512).astype(np.float32), k=9)
         b = ServingRequest(data=rng.random(512).astype(np.float32), k=12)
         c = ServingRequest(data=rng.random(512).astype(np.float32), k=8)
         groups = batcher.group([a, b, c])
-        assert sorted(len(group) for group in groups) == [1, 2]
+        assert groups == [[a, b, c]]
+
+    def test_different_n_inside_one_width_share(self, device, rng):
+        batcher = CrossQueryBatcher(device=device)
+        a = ServingRequest(data=rng.random(300).astype(np.float32), k=8)
+        b = ServingRequest(data=rng.random(512).astype(np.float32), k=8)
+        groups = batcher.group([a, b])
+        assert groups == [[a, b]]
 
     def test_different_n_never_share(self, device, rng):
         batcher = CrossQueryBatcher(device=device)

@@ -119,6 +119,20 @@ class TestBaselineGate:
             "baseline batched, this run did not"
         ]
 
+    def test_fewer_riders_per_launch_is_flagged(self, report):
+        batches = report.batcher["batches"]
+        split = dataclasses.replace(
+            report, batcher={**report.batcher, "batches": batches + 1}
+        )
+        assert check_baseline(split, report.to_dict()) == [
+            f"{batches + 1} fused launches exceed the baseline's {batches}: "
+            "fewer riders per launch"
+        ]
+        merged = dataclasses.replace(
+            report, batcher={**report.batcher, "batches": max(1, batches - 1)}
+        )
+        assert check_baseline(merged, report.to_dict()) == []
+
     def test_workload_mismatch_is_flagged(self, report):
         baseline = report.to_dict()
         baseline["workload"]["queries"] = 999

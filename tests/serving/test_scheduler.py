@@ -169,16 +169,16 @@ class TestValidation:
             first = server.submit(rng.random(64).astype(np.float32), k=2)
             first.result(timeout=30)
 
-            def exploding_choose(*args, **kwargs):
+            def exploding_bound(*args, **kwargs):
                 raise InvalidParameterError("boom")
 
-            server.plan_cache.choose = exploding_choose
+            server.plan_cache.bound = exploding_bound
             doomed = server.submit(rng.random(64).astype(np.float32), k=2)
             with pytest.raises(InvalidParameterError):
                 doomed.result(timeout=30)
             # The dispatcher survives; later queries still get answers
             # (restore planning first).
-            del server.plan_cache.choose
+            del server.plan_cache.bound
             after = server.submit(rng.random(64).astype(np.float32), k=2)
             assert after.result(timeout=30).values.shape == (2,)
 
