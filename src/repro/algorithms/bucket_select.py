@@ -131,11 +131,13 @@ class BucketSelectTopK(TopKAlgorithm):
                     )
 
         if remaining > 0:
-            tail = keycodec.canonical_order(codes[candidate_rows], candidate_rows)
-            result_rows.append(candidate_rows[tail[:remaining]])
+            tail = keycodec.canonical_topk(
+                codes[candidate_rows], candidate_rows, remaining
+            )
+            result_rows.append(candidate_rows[tail])
 
         indices = np.concatenate(result_rows)
-        indices = indices[keycodec.canonical_order(codes[indices], indices)[:k]]
+        indices = indices[keycodec.canonical_topk(codes[indices], indices, k)]
         values = data[indices]
         trace = self._build_trace(model_n or n, data.dtype, pass_log, k)
         return self._result(values, indices, trace, k, n, model_n)

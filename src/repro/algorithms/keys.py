@@ -13,7 +13,8 @@ transformed (Section 2.2 / the GGKS selection package use the same trick):
 every NaN takes code 0, below -inf's.  Code order is then the oracle's value
 order (:func:`repro.algorithms.base.reference_topk`: value descending, -0.0
 equal to +0.0, NaN last), and rows break ties: the canonical order is code
-descending, then row ascending (:func:`canonical_order`).
+descending, then row ascending (:func:`canonical_order`), and every exact
+path cuts to k with :func:`canonical_topk`.
 
 The comparison kernels carry the row inside the key (:func:`sort_keys`), as
 the key+value runs of Section 6.6 do: data of 32 bits or less ranks one
@@ -125,6 +126,24 @@ def canonical_order(codes: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Indices sorting ``(codes, rows)`` canonically: code descending, then
     row ascending (``~code`` ascending is code descending)."""
     return np.lexsort((rows, ~codes))
+
+
+def canonical_topk(codes: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the first ``k`` rows of :func:`canonical_order`.
+
+    One partition finds the k-th largest code, and only the c rows at or
+    above it are sorted: O(n + c log c) instead of a full sort.  A row
+    below the k-th code has at least k rows ahead of it, so the answer is
+    ``canonical_order(codes, rows)[:k]`` exactly.
+    """
+    n = len(codes)
+    k = min(k, n)
+    if k <= 0:
+        return np.empty(0, dtype=np.int64)
+    kth = np.partition(codes, n - k)[n - k]
+    candidates = np.flatnonzero(codes >= kth)
+    order = canonical_order(codes[candidates], rows[candidates])
+    return candidates[order[:k]]
 
 
 def layout(dtype: np.dtype) -> str:

@@ -139,7 +139,7 @@ def _final_topk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Global reduction over the per-thread heaps, in canonical order."""
     rows = state_indices[state_indices >= 0]
-    rows = rows[keycodec.canonical_order(keycodec.encode(data[rows]), rows)[:k]]
+    rows = rows[keycodec.canonical_topk(keycodec.encode(data[rows]), rows, k)]
     return data[rows], rows
 
 

@@ -200,13 +200,13 @@ def _select(
 
     final_candidates = emitted_total + len(candidates)
     if remaining > 0:
-        order = keycodec.canonical_order(candidates, candidate_rows)[:remaining]
+        order = keycodec.canonical_topk(candidates, candidate_rows, remaining)
         result_codes.append(candidates[order])
         result_rows.append(candidate_rows[order])
 
     all_codes = np.concatenate(result_codes) if result_codes else candidates[:0]
     all_rows = np.concatenate(result_rows) if result_rows else candidate_rows[:0]
-    order = keycodec.canonical_order(all_codes, all_rows)[:k]
+    order = keycodec.canonical_topk(all_codes, all_rows, k)
     return all_rows[order], passes, final_candidates
 
 

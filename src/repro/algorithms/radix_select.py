@@ -107,13 +107,13 @@ class RadixSelectTopK(TopKAlgorithm):
         # Whatever candidates remain all tie at (or bound) the k-th value;
         # pad the result with them (Section 4.2's final step).
         if remaining > 0:
-            order = keycodec.canonical_order(candidates, candidate_rows)[:remaining]
+            order = keycodec.canonical_topk(candidates, candidate_rows, remaining)
             result_codes.append(candidates[order])
             result_rows.append(candidate_rows[order])
 
         all_codes = np.concatenate(result_codes)
         all_rows = np.concatenate(result_rows)
-        order = keycodec.canonical_order(all_codes, all_rows)[:k]
+        order = keycodec.canonical_topk(all_codes, all_rows, k)
         indices = all_rows[order]
         values = data[indices]
 

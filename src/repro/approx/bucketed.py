@@ -35,7 +35,7 @@ import numpy as np
 
 from repro import observability as obs
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
-from repro.algorithms.keys import encode
+from repro.algorithms.keys import canonical_topk, encode
 from repro.approx.config import ApproxConfig, default_config
 from repro.approx.delegate import group_delegates, group_members
 from repro.approx.recall import delegate_expected_recall, expected_recall
@@ -287,7 +287,7 @@ class ApproxBucketTopK(TopKAlgorithm):
             "phase:candidate-merge", category="phase", candidates=len(candidates)
         ):
             candidate_codes = codes[candidates]
-            order = np.lexsort((candidates, ~candidate_codes))[:k]
+            order = canonical_topk(candidate_codes, candidates, k)
             chosen = candidates[order]
         return data[chosen].copy(), chosen.astype(np.int64)
 

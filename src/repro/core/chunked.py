@@ -26,6 +26,7 @@ import numpy as np
 
 from repro import observability as obs
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
+from repro.algorithms.keys import canonical_topk, encode
 from repro.algorithms.registry import create
 from repro.bitonic.network import next_pow2
 from repro.bitonic.topk import BitonicTopK
@@ -149,7 +150,7 @@ class ChunkedTopK:
                     candidate_rows.append(result.indices + start)
             values = np.concatenate(candidate_values)
             rows = np.concatenate(candidate_rows)
-            order = np.argsort(values, kind="stable")[::-1][:k]
+            order = canonical_topk(encode(values), rows, k)
 
             trace = ExecutionTrace()
             pipeline = trace.launch("chunk-pipeline")

@@ -136,7 +136,7 @@ class CpuBitonicTopK(TopKAlgorithm):
             rows_list.append(rows)
         all_values = np.concatenate(values_list)
         all_rows = np.concatenate(rows_list)
-        order = keycodec.canonical_order(keycodec.encode(all_values), all_rows)[:k]
+        order = keycodec.canonical_topk(keycodec.encode(all_values), all_rows, k)
 
         trace = ExecutionTrace()
         counters = trace.launch("cpu-bitonic")

@@ -95,7 +95,7 @@ class _CpuHeapTopK(TopKAlgorithm):
             candidate_indices.append(top + offset)
             total_inserts += inserts
         indices = np.concatenate(candidate_indices)
-        indices = indices[keycodec.canonical_order(codes[indices], indices)[:k]]
+        indices = indices[keycodec.canonical_topk(codes[indices], indices, k)]
 
         trace = self._build_trace(model, n, k, data.dtype.itemsize, total_inserts)
         return self._result(data[indices], indices, trace, k, n, model_n)

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro import observability as obs
 from repro.algorithms.base import TopKResult, validate_topk_args
+from repro.algorithms.keys import canonical_topk, encode
 from repro.bitonic.topk import BitonicTopK
 from repro.costmodel.bitonic_model import BitonicModel
 from repro.cpu.pq_topk import HandPqTopK
@@ -131,7 +132,7 @@ class HybridTopK:
             rows = np.concatenate(
                 [part.indices + offset for part, offset in zip(parts, offsets)]
             )
-            order = np.argsort(values, kind="stable")[::-1][:k]
+            order = canonical_topk(encode(values), rows, k)
 
             trace = ExecutionTrace()
             concurrent = trace.launch("hybrid-concurrent")

@@ -31,7 +31,10 @@ def merge_topk(
     indices); returns ``(values, indices)`` of the k winners in canonical
     order: value codes descending, then the lower global index, so equal
     values (and NaN groups) resolve to the lower global row, matching the
-    single-device answer bit for bit.
+    single-device answer bit for bit.  The cut is
+    :func:`repro.algorithms.keys.canonical_topk`: one partition finds the
+    k-th code and only the c candidates at or above it are sorted, so n
+    candidates cost O(n + c log c).
     """
-    order = keycodec.canonical_order(keycodec.encode(values), indices)[:k]
+    order = keycodec.canonical_topk(keycodec.encode(values), indices, k)
     return values[order], indices[order]

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.algorithms.keys import canonical_topk, encode
 from repro.bitonic.kernels import build_trace
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.costmodel.streaming_model import CANDIDATE_BYTES, StreamingModel
@@ -82,6 +83,21 @@ def _validate_mode(mode: str) -> None:
             f"unknown maintenance mode {mode!r}; "
             f"available: {('auto', *MODES)}"
         )
+
+
+def _emit_k(maintainer, k: int | None) -> int:
+    """The k an ``emit`` answers (the maintainer's own by default).
+
+    An incremental maintainer keeps only its own k candidates per chunk,
+    so a larger k would be answered short and inexact: it is rejected.
+    """
+    k = maintainer.k if k is None else k
+    if maintainer.mode == "incremental" and k > maintainer.k:
+        raise InvalidParameterError(
+            f"an incremental maintainer of k={maintainer.k} cannot emit "
+            f"k={k}; build it with the larger k or use mode='recompute'"
+        )
+    return k
 
 
 def _chunk_summary(
@@ -180,7 +196,7 @@ class WindowTopK(IncrementalOperator):
 
     def emit(self, k: int | None = None, model_n: int | None = None):
         self._require_open("emit")
-        k = self.k if k is None else k
+        k = _emit_k(self, k)
         if self.ticks == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty.astype(np.float64), empty
@@ -355,7 +371,7 @@ class DecayedTopK(IncrementalOperator):
 
     def emit(self, k: int | None = None, model_n: int | None = None):
         self._require_open("emit")
-        k = self.k if k is None else k
+        k = _emit_k(self, k)
         if self.ticks == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty.astype(np.float64), empty
@@ -372,13 +388,15 @@ class DecayedTopK(IncrementalOperator):
             )
             gids = np.concatenate([item[1] for item in self._history])
         scores = self._scores(values, arrivals, tick, self.decay)
-        order = np.lexsort((gids, -scores))[:k]
+        order = canonical_topk(encode(scores), gids, max(k, self.k))
         if self.mode == "incremental":
-            # The winners (base values + arrivals) are the next tick's
-            # carried candidates — the ratio argument makes them exact.
+            # The maintainer's k winners (base values + arrivals) are the
+            # next tick's carried candidates — the ratio argument makes
+            # them exact, whatever k this emit answers.
             self._values = values[order]
             self._arrivals = arrivals[order]
             self._gids = gids[order]
+        order = order[:k]
         return scores[order], gids[order]
 
     def close(self) -> None:

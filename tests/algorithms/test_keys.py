@@ -6,8 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.algorithms.keys import decode, digit, encode, key_bits, key_bytes
+from repro.algorithms import keys
+from repro.algorithms.keys import (
+    canonical_order,
+    canonical_topk,
+    decode,
+    digit,
+    encode,
+    key_bits,
+    key_bytes,
+)
 from repro.errors import InvalidParameterError
+from repro.sharding.merge import merge_topk
 
 
 class TestWidths:
@@ -103,3 +113,60 @@ class TestDigit:
     def test_invalid_shift(self):
         with pytest.raises(InvalidParameterError):
             digit(np.array([1], dtype=np.uint32), -1)
+
+
+@st.composite
+def _cut_inputs(draw):
+    """Codes (wide, heavily tied, or all equal; code 0 is NaN), distinct
+    rows in no particular order, and k at the edges."""
+    dtype = draw(st.sampled_from([np.uint32, np.uint64]))
+    n = draw(st.integers(min_value=0, max_value=80))
+    top = int(np.iinfo(dtype).max)
+    spread = draw(st.sampled_from(["wide", "ties", "equal"]))
+    if spread == "equal":
+        codes = [draw(st.sampled_from([0, 1, top]))] * n
+    else:
+        high = top if spread == "wide" else 3
+        element = st.one_of(st.just(0), st.just(top), st.integers(0, high))
+        codes = draw(st.lists(element, min_size=n, max_size=n))
+    rows = draw(
+        st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True)
+    )
+    k = draw(st.sampled_from(sorted({0, 1, max(n - 1, 0), n, n + 1})))
+    return np.array(codes, dtype=dtype), np.array(rows, dtype=np.int64), k
+
+
+class TestCanonicalTopk:
+    @given(_cut_inputs())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_is_the_canonical_order_prefix(self, case):
+        codes, rows, k = case
+        chosen = canonical_topk(codes, rows, k)
+        assert np.array_equal(chosen, canonical_order(codes, rows)[:k])
+        assert chosen.dtype == np.int64
+
+    def test_k_zero_is_empty(self):
+        chosen = canonical_topk(np.arange(4, dtype=np.uint32), np.arange(4), 0)
+        assert chosen.dtype == np.int64 and len(chosen) == 0
+
+    def test_sorts_only_the_rows_that_can_place(self, monkeypatch):
+        # A work guard without a clock: the merge's cut sorts the k rows
+        # at or above the k-th code, and every row only when all tie.
+        sorted_sizes = []
+        full_sort = keys.canonical_order
+
+        def counting(codes, rows):
+            sorted_sizes.append(len(codes))
+            return full_sort(codes, rows)
+
+        monkeypatch.setattr(keys, "canonical_order", counting)
+        n, k = 16384, 64
+        rows = np.arange(n, dtype=np.int64)
+        distinct = np.random.default_rng(0).permutation(n).astype(np.float32)
+        _, indices = merge_topk(distinct, rows, k)
+        assert sorted_sizes == [k]
+        assert np.array_equal(indices, np.argsort(-distinct, kind="stable")[:k])
+        sorted_sizes.clear()
+        _, indices = merge_topk(np.ones(n, dtype=np.float32), rows, k)
+        assert sorted_sizes == [n]
+        assert np.array_equal(indices, rows[:k])

@@ -54,6 +54,17 @@ class TestCorrectness:
         assert result.algorithm == "chunked-radix-select"
 
 
+    def test_ties_and_nan_take_the_oracles_rows(self, rng):
+        # Duplicates spanning chunks go to the lower row; NaN ranks last.
+        data = rng.integers(0, 4, 20000).astype(np.float32)
+        data[rng.choice(20000, 19000, replace=False)] = np.nan
+        for k in (16, 1500):
+            result = chunked_topk(data, k, memory_budget_bytes=SMALL_BUDGET)
+            expected_values, expected_rows = reference_topk(data, k)
+            assert np.array_equal(result.indices, expected_rows)
+            assert np.array_equal(result.values, expected_values, equal_nan=True)
+
+
 class TestPipelineTiming:
     def test_plan_for_oversized_input(self, device):
         """2^32 floats (17 GiB) do not fit the 12 GiB card: multiple chunks."""

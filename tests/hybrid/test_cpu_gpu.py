@@ -26,6 +26,18 @@ class TestCorrectness:
         assert (result.indices >= 9950).all()
 
 
+    def test_ties_and_nan_take_the_oracles_rows(self, rng):
+        # Duplicates on both sides of the split go to the lower row; NaN
+        # ranks last.
+        data = rng.integers(0, 4, 10000).astype(np.float32)
+        data[rng.choice(10000, 9500, replace=False)] = np.nan
+        for k in (32, 1000):
+            result = HybridTopK().run(data, k)
+            expected_values, expected_rows = reference_topk(data, k)
+            assert np.array_equal(result.indices, expected_rows)
+            assert np.array_equal(result.values, expected_values, equal_nan=True)
+
+
 class TestSplitPlanning:
     def test_split_balances_finish_times(self, device):
         split = HybridTopK(device).plan_split(1 << 29, 64, np.dtype(np.float32))

@@ -159,6 +159,73 @@ class TestParity:
             assert np.array_equal(sharded[tick][1], unsharded[tick][1])
 
 
+class TestEmitK:
+    def _chunks(self, rng):
+        return make_chunks(
+            [rng.standard_normal(32).astype(np.float32) for _ in range(5)]
+        )
+
+    def test_smaller_k_keeps_the_carried_set(self, rng):
+        # emit(k=2) at tick 2 must not shrink the carried winners: later
+        # ticks still match the recompute arm.
+        incremental = DecayedTopK(8, 0.9, mode="incremental")
+        oracle = DecayedTopK(8, 0.9, mode="recompute")
+        incremental.open()
+        oracle.open()
+        for tick, chunk in enumerate(self._chunks(rng)):
+            incremental.advance(chunk)
+            oracle.advance(chunk)
+            k = 2 if tick == 2 else None
+            inc_scores, inc_gids = incremental.emit(k)
+            ora_scores, ora_gids = oracle.emit(k)
+            assert np.array_equal(inc_scores, ora_scores), tick
+            assert np.array_equal(inc_gids, ora_gids), tick
+            assert len(inc_gids) == (2 if tick == 2 else 8)
+        incremental.close()
+        oracle.close()
+
+    def test_incremental_rejects_larger_k(self, rng):
+        maintainer = DecayedTopK(4, 0.9, mode="incremental")
+        maintainer.open()
+        maintainer.advance(self._chunks(rng)[0])
+        with pytest.raises(InvalidParameterError):
+            maintainer.emit(k=16)
+        maintainer.close()
+
+    def test_recompute_answers_larger_k(self, rng):
+        maintainer = DecayedTopK(4, 0.9, mode="recompute")
+        maintainer.open()
+        maintainer.advance(self._chunks(rng)[0])
+        assert len(maintainer.emit(k=16)[1]) == 16
+        maintainer.close()
+
+    @pytest.mark.parametrize("mode", ["incremental", "recompute"])
+    def test_cut_matches_the_lexsort_reference(self, rng, mode):
+        # The canonical cut over encoded scores is the order of
+        # np.lexsort((gids, -scores)): NaN last, -0.0 equal to +0.0, ties
+        # to the lower gid.
+        special = np.array(
+            [np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, np.nan, 0.0],
+            dtype=np.float64,
+        )
+        chunks = [rng.choice(special, size=24) for _ in range(4)]
+        maintainer = DecayedTopK(6, 0.5, mode=mode)
+        maintainer.open()
+        for tick, chunk in enumerate(make_chunks(chunks)):
+            maintainer.advance(chunk)
+            scores, gids = maintainer.emit()
+            all_values = np.concatenate(chunks[: tick + 1])
+            all_gids = np.arange(len(all_values), dtype=np.int64)
+            arrivals = np.repeat(np.arange(tick + 1), 24)
+            all_scores = all_values * np.float64(0.5) ** (tick - arrivals)
+            order = np.lexsort((all_gids, -all_scores))[:6]
+            assert np.array_equal(gids, all_gids[order]), tick
+            assert np.array_equal(
+                scores.view(np.uint64), all_scores[order].view(np.uint64)
+            ), tick
+        maintainer.close()
+
+
 class TestStateBounds:
     def test_carried_set_stays_bounded(self, rng):
         # The incremental arm's whole point: state is O(k), not O(stream).

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.algorithms.base import reference_topk
+from repro.engine.operators import TickInterpreter
 from repro.errors import InvalidParameterError
 from repro.gpu.timing import trace_time
 from repro.streaming.window import MODES, StreamChunk, WindowTopK
@@ -115,6 +117,49 @@ class TestProtocol:
         assert maintainer.ticks == 0
         assert len(maintainer.emit()[0]) == 0
         maintainer.close()
+
+
+class TestEmitK:
+    """A caller's k larger than the maintainer's: recompute answers it;
+    the summary ring holds only k rows per chunk, so it refuses."""
+
+    def _chunks(self, rng):
+        return make_chunks(
+            [rng.standard_normal(256).astype(np.float32) for _ in range(6)]
+        )
+
+    def test_incremental_rejects_larger_k(self, rng):
+        maintainer = WindowTopK(4, 8, 256, mode="incremental")
+        maintainer.open()
+        for chunk in self._chunks(rng):
+            maintainer.advance(chunk)
+        with pytest.raises(InvalidParameterError):
+            maintainer.emit(k=16)
+        assert len(maintainer.emit(k=2)[1]) == 2
+        maintainer.close()
+
+    def test_recompute_answers_larger_k(self, rng):
+        chunks = self._chunks(rng)
+        maintainer = WindowTopK(4, 8, 256, mode="recompute")
+        maintainer.open()
+        for chunk in chunks:
+            maintainer.advance(chunk)
+        values, gids = maintainer.emit(k=16)
+        maintainer.close()
+        everything = np.concatenate([chunk.values for chunk in chunks])
+        expected_values, expected_gids = reference_topk(everything, 16)
+        assert np.array_equal(gids, expected_gids)
+        assert np.array_equal(values, expected_values)
+
+    def test_tick_interpreter_passes_the_callers_k(self, rng):
+        chunk = self._chunks(rng)[0]
+        incremental = WindowTopK(4, 8, 256, mode="incremental")
+        with TickInterpreter(incremental) as interpreter:
+            with pytest.raises(InvalidParameterError):
+                interpreter.tick(chunk, 16)
+        recompute = WindowTopK(4, 8, 256, mode="recompute")
+        with TickInterpreter(recompute) as interpreter:
+            assert len(interpreter.tick(chunk, 16)[1]) == 16
 
 
 class TestParityMatrix:
