@@ -14,7 +14,6 @@ See ``docs/approximate.md`` for the algorithm and derivation.
 from repro.approx.bench import (
     ApproxBenchReport,
     ApproxWorkload,
-    check_baseline,
     run_approx_benchmark,
 )
 from repro.approx.bucketed import ApproxBucketTopK
@@ -26,7 +25,6 @@ from repro.approx.config import (
 )
 from repro.approx.degrade import DegradeChoice, clear_cache, degraded_config
 from repro.approx.delegate import (
-    exact_delegate_filter,
     group_delegates,
     group_members,
 )
@@ -41,7 +39,6 @@ __all__ = [
     "ApproxBucketTopK",
     "ApproxConfig",
     "ApproxWorkload",
-    "check_baseline",
     "run_approx_benchmark",
     "DEFAULT_DELEGATE_GROUP",
     "DEFAULT_OVERSAMPLE",
@@ -50,7 +47,6 @@ __all__ = [
     "default_config",
     "degraded_config",
     "delegate_expected_recall",
-    "exact_delegate_filter",
     "expected_recall",
     "group_delegates",
     "group_members",

@@ -14,8 +14,10 @@ The *headline point* — ``n = 2**24, k = 256`` with the planner's default
 configuration — carries the paper-level claim: the report fails unless it
 shows at least :data:`MIN_HEADLINE_SPEEDUP` simulated speedup with
 measured recall at least :data:`MIN_HEADLINE_RECALL`.  CI additionally
-gates every point's simulated times against the committed
-``benchmarks/baselines/BENCH_approx.json`` via :func:`check_baseline`.
+gates every point's simulated times and measured recall against the
+committed ``benchmarks/baselines/BENCH_approx.json`` through the one
+baseline checker, :func:`repro.bench.common.check_baseline`, over
+:attr:`ApproxBenchReport.BASELINE_GATES`.
 
 Functional arrays are capped at ``functional_cap`` elements (recall is
 insensitive to n once n >> candidates, and the trace models the full
@@ -33,7 +35,7 @@ from repro.bitonic.topk import BitonicTopK
 from repro.approx.bucketed import ApproxBucketTopK
 from repro.approx.config import ApproxConfig, default_config
 from repro.approx.recall import expected_recall, measured_recall
-from repro.bench.common import BASELINE_TOLERANCE, drifted, incomparable
+from repro.bench.common import Gate
 from repro.errors import InvalidParameterError
 from repro.gpu.device import DeviceSpec, get_device
 from repro.gpu.timing import trace_time
@@ -171,6 +173,19 @@ class ApproxBenchReport:
     workload: ApproxWorkload
     device: str
     points: list = field(default_factory=list)
+
+    #: What a committed baseline holds: each point's exact and
+    #: approximate simulated ms, and its measured recall (which may not
+    #: fall more than :data:`RECALL_TOLERANCE` below the baseline's).
+    BASELINE_GATES = (
+        Gate("points[model_n,k,requested_buckets].exact_ms"),
+        Gate("points[model_n,k,requested_buckets].approx_ms"),
+        Gate(
+            "points[model_n,k,requested_buckets].measured_recall",
+            "floor",
+            RECALL_TOLERANCE,
+        ),
+    )
 
     @property
     def headline(self) -> SweepPoint | None:
@@ -312,52 +327,3 @@ def run_approx_benchmark(
             _run_point(workload, device, model_n, k, buckets)
         )
     return report
-
-
-def check_baseline(report: ApproxBenchReport, baseline: dict) -> list[str]:
-    """Regression-gate a report against a committed baseline.
-
-    Returns the list of violations (empty = pass).  Only deterministic
-    quantities are gated — simulated milliseconds per point (within
-    :data:`BASELINE_TOLERANCE`) and recalls (within
-    :data:`RECALL_TOLERANCE` of the baseline) — never wall clock.
-    """
-    problems = incomparable(baseline, REPORT_FORMAT, report.workload.to_dict())
-    if problems:
-        return problems
-    measured_points = {
-        (p.model_n, p.k, p.requested_buckets): p for p in report.points
-    }
-    for expected in baseline.get("points", []):
-        key = (
-            expected["model_n"],
-            expected["k"],
-            expected["requested_buckets"],
-        )
-        point = measured_points.get(key)
-        if point is None:
-            problems.append(f"sweep is missing baseline point {key}")
-            continue
-        label = f"point (n={key[0]}, k={key[1]}, b={key[2]})"
-        for name, measured_ms in (
-            ("exact_ms", point.exact_ms),
-            ("approx_ms", point.approx_ms),
-        ):
-            expected_ms = expected[name]
-            if drifted(measured_ms, expected_ms):
-                problems.append(
-                    f"{label} {name} {measured_ms:.4f} deviates more than "
-                    f"{BASELINE_TOLERANCE:.0%} from baseline {expected_ms:.4f}"
-                )
-        if point.measured < expected["measured_recall"] - RECALL_TOLERANCE:
-            problems.append(
-                f"{label} measured recall {point.measured:.6f} fell below "
-                f"baseline {expected['measured_recall']:.6f}"
-            )
-    if baseline.get("passed") and not report.passed:
-        problems.append(
-            "headline gate regressed: baseline passed "
-            f">= {MIN_HEADLINE_SPEEDUP:.1f}x speedup at recall "
-            f">= {MIN_HEADLINE_RECALL:.2f}, this run does not"
-        )
-    return problems

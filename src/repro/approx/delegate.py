@@ -6,19 +6,16 @@ selects the top-k **groups by delegate** and then finishes on only those
 groups' elements reads ``surviving_groups * group`` elements instead of n
 in its selection phase — the global-memory-traffic cut the paper reports.
 
-The *exact* filter here keeps every group whose delegate ties or beats
-the k-th largest delegate.  That is provably lossless: a group containing
-a top-k element has a delegate at least that element, hence at least the
-k-th overall value; and because at most k groups contain top-k elements,
-the k-th largest delegate cannot exceed the k-th overall value.  Ties are
-kept inclusively, so duplicates at the boundary never drop a group.
-
-The *approximate* variant (used by
-:class:`repro.approx.bucketed.ApproxBucketTopK` when
-``ApproxConfig.delegate_group`` is set) replaces the exact delegate
+Keeping every group whose delegate ties or beats the k-th largest
+delegate would be lossless: a group containing a top-k element has a
+delegate at least that element, hence at least the k-th overall value;
+and because at most k groups contain top-k elements, the k-th largest
+delegate cannot exceed the k-th overall value.
+:class:`repro.approx.bucketed.ApproxBucketTopK` (when
+``ApproxConfig.delegate_group`` is set) replaces that exact delegate
 selection with the bucketed selection, trading a quantified recall loss
 (:func:`repro.approx.recall.delegate_expected_recall`) for a single-pass
-filter.
+filter; this module supplies the delegates and their groups' members.
 """
 
 from __future__ import annotations
@@ -52,25 +49,3 @@ def group_members(n: int, groups: np.ndarray, group: int) -> np.ndarray:
     members = (starts[:, None] + np.arange(group, dtype=np.int64)).ravel()
     return members[members < n]
 
-
-def exact_delegate_filter(
-    data: np.ndarray, k: int, group: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lossless pre-filter: (surviving group ids, their element indices).
-
-    The surviving groups are guaranteed to contain every top-k element of
-    ``data``; ties with the k-th delegate are kept inclusively.
-    """
-    data = np.asarray(data)
-    n = len(data)
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"invalid filter: n = {n}, k = {k}")
-    delegates = group_delegates(data, group)
-    if len(delegates) <= k:
-        survivors = np.arange(len(delegates), dtype=np.int64)
-    else:
-        threshold = np.partition(delegates, len(delegates) - k)[
-            len(delegates) - k
-        ]
-        survivors = np.flatnonzero(delegates >= threshold).astype(np.int64)
-    return survivors, group_members(n, survivors, group)

@@ -5,6 +5,7 @@ from repro.bench.common import (
     add_report_arguments,
     apply_baseline,
     apply_gates,
+    check_baseline,
     drifted,
     finish_report,
     write_report,
@@ -23,6 +24,7 @@ __all__ = [
     "add_report_arguments",
     "apply_baseline",
     "apply_gates",
+    "check_baseline",
     "drifted",
     "finish_report",
     "write_report",

@@ -13,28 +13,29 @@ the two together. Every bench follows one contract:
 * gates — each report's ``gates()`` returns ``(ok, message)`` pairs, the
   one source of its ``passed`` verdict; each failed gate prints one
   ``error: ...`` line on stderr and the command exits 1;
-* ``--baseline`` — compare headline numbers against a committed
-  ``BENCH_*.json`` within the shared relative tolerance
-  (:data:`BASELINE_TOLERANCE`), printing one ``baseline regression:``
-  line per drifted number.
+* ``--baseline`` — compare the numbers the report class lists in
+  ``BASELINE_GATES`` against a committed ``BENCH_*.json`` (itself a
+  report's ``to_dict()``) with :func:`check_baseline`, printing one
+  ``baseline regression:`` line per problem.
 
 This module is that contract, written once: argument wiring
 (:func:`add_bench_arguments`, :func:`add_report_arguments`),
 artifact/print plumbing (:func:`write_report`), gate evaluation
 (:func:`apply_gates`), the typed JSON loader for baselines and stores
-(:func:`load_json`), the preamble and tolerance predicate every
-``check_baseline`` uses (:func:`incomparable`, :func:`drifted`), and the
-end-to-end tail a bench command returns (:func:`finish_report`).
+(:func:`load_json`), the one baseline checker (:func:`check_baseline`,
+its :class:`Gate` rows and the tolerance predicate :func:`drifted`), and
+the end-to-end tail a bench command returns (:func:`finish_report`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
 from repro.costmodel.base import PROFILES
 from repro.errors import InvalidParameterError
@@ -55,8 +56,11 @@ def drifted(
     """True when ``measured`` falls outside the relative tolerance band.
 
     The band is relative to ``|expected|`` with a tiny absolute floor so a
-    zero expectation doesn't demand exact equality of floats.
+    zero expectation doesn't demand exact equality of floats. A NaN or
+    infinite value on either side has no band: it always counts as drift.
     """
+    if not (math.isfinite(measured) and math.isfinite(expected)):
+        return True
     return abs(measured - expected) > tolerance * max(abs(expected), 1e-9)
 
 
@@ -64,7 +68,7 @@ def incomparable(baseline: dict, report_format: str, workload: dict) -> list[str
     """Why ``baseline`` cannot gate this run, if it cannot (else ``[]``).
 
     A baseline of another report format, or of another workload, has no
-    numbers comparable with the run's; every ``check_baseline`` returns
+    numbers comparable with the run's; :func:`check_baseline` returns
     this problem alone before it compares any number.
     """
     if baseline.get("format") != report_format:
@@ -75,6 +79,142 @@ def incomparable(baseline: dict, report_format: str, workload: dict) -> list[str
             f"{baseline.get('workload')} vs {workload}"
         ]
     return []
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One number a committed baseline holds in place.
+
+    ``path`` names the number in the report's ``to_dict()``: dot-separated
+    keys, where ``name[field,...]`` is a list of points matched between
+    the report and the baseline on those fields
+    (``points[shards].simulated_ms``). ``rule`` is one of
+
+    * ``"drift"`` — within :data:`BASELINE_TOLERANCE` of the baseline,
+      either way;
+    * ``"floor"`` — may not fall more than ``margin`` (absolute) below
+      the baseline;
+    * ``"ceiling"`` — a count that may fall, but neither rise above the
+      baseline nor fall to zero from a non-zero baseline.
+
+    An ``optional`` number is skipped when either side lacks it; any
+    other absence is a problem. A NaN fails every rule.
+    """
+
+    path: str
+    rule: str = "drift"
+    margin: float = 0.0
+    optional: bool = False
+
+
+def _drift(measured, expected, margin) -> str | None:
+    if drifted(measured, expected):
+        return (
+            f"{measured:.6g} deviates more than {BASELINE_TOLERANCE:.0%} "
+            f"from baseline {expected:.6g}"
+        )
+    return None
+
+
+def _floor(measured, expected, margin) -> str | None:
+    if not measured >= expected - margin:  # written so NaN fails
+        return (
+            f"{measured:.6g} fell more than {margin:g} below baseline "
+            f"{expected:.6g}"
+        )
+    return None
+
+
+def _ceiling(measured, expected, margin) -> str | None:
+    if measured == 0 < expected:
+        return f"fell to 0 from baseline {expected:g}"
+    if not measured <= expected:  # written so NaN fails
+        return f"{measured:g} exceeds baseline {expected:g}"
+    return None
+
+
+_RULES = {"drift": _drift, "floor": _floor, "ceiling": _ceiling}
+
+#: What a side of the comparison holds where a gated path has no value.
+_ABSENT = object()
+
+
+def _get(node, name: str):
+    value = node.get(name) if isinstance(node, dict) else None
+    return _ABSENT if value is None else value
+
+
+def _pairs(segments: list, measured, expected, label: str):
+    """Yield ``(label, measured, expected)`` for each number the path
+    ``segments`` names in the baseline; a side that lacks it holds
+    :data:`_ABSENT` (a missing report point stops there)."""
+    if not segments:
+        yield label, measured, expected
+        return
+    (name, fields), rest = segments[0], segments[1:]
+    label = f"{label}.{name}" if label else name
+    here, there = _get(measured, name), _get(expected, name)
+    if fields is None:
+        yield from _pairs(rest, here, there, label)
+        return
+    if there is _ABSENT:
+        yield label, here, there
+        return
+    points = {
+        tuple(point.get(field) for field in fields): point
+        for point in ([] if here is _ABSENT else here)
+    }
+    for point in there:
+        key = tuple(point.get(field) for field in fields)
+        tag = ",".join(f"{field}={value}" for field, value in zip(fields, key))
+        if key in points:
+            yield from _pairs(rest, points[key], point, f"{label}[{tag}]")
+        else:
+            yield f"{label}[{tag}]", _ABSENT, point
+
+
+def _segments(path: str) -> list:
+    """``"points[model_n,k].exact_ms"`` -> ``[("points", ("model_n",
+    "k")), ("exact_ms", None)]``."""
+    segments = []
+    for part in path.split("."):
+        name, _, fields = part.rstrip("]").partition("[")
+        segments.append((name, tuple(fields.split(",")) if fields else None))
+    return segments
+
+
+def check_baseline(report, baseline: dict) -> list[str]:
+    """Regression-gate a report against a committed baseline.
+
+    Returns the problems (empty = pass). The baseline is a report's
+    ``to_dict()``; every number the report class lists in
+    ``BASELINE_GATES`` is read out of both documents and held to its
+    :class:`Gate` rule. Only deterministic numbers are gated, never wall
+    clock. A baseline of another format or workload is one problem
+    alone; a baseline point the report lacks is one problem, whichever
+    gates read it. Exactness and the pass verdicts are not re-checked
+    here: ``report.gates()`` fails the command on them.
+    """
+    document = report.to_dict()
+    problems = incomparable(baseline, document["format"], document["workload"])
+    if problems:
+        return problems
+    for gate in report.BASELINE_GATES:
+        for label, measured, expected in _pairs(
+            _segments(gate.path), document, baseline, ""
+        ):
+            if measured is _ABSENT or expected is _ABSENT:
+                if not gate.optional:
+                    problems.append(
+                        f"report is missing baseline {label}"
+                        if measured is _ABSENT
+                        else f"baseline lacks {label}"
+                    )
+                continue
+            problem = _RULES[gate.rule](measured, expected, gate.margin)
+            if problem is not None:
+                problems.append(f"{label} {problem}")
+    return list(dict.fromkeys(problems))
 
 
 def load_json(path: str | Path, what: str):
@@ -110,9 +250,10 @@ class Bench:
     ``module`` is imported only when the command runs. It holds the
     ``runner``, the ``workload`` dataclass whose fields the flags of the
     same name override (``None``: the runner takes the flags as
-    keywords), ``REPORT_FORMAT`` and, when the bench has a committed
-    ``baseline``, ``check_baseline``. The runner's report carries its own
-    gates. ``flags`` lists the ``add_argument`` calls in ``--help`` order.
+    keywords) and ``REPORT_FORMAT``. The runner's report carries its own
+    gates and, when the bench has a committed ``baseline``, the
+    ``BASELINE_GATES`` :func:`check_baseline` holds to it. ``flags``
+    lists the ``add_argument`` calls in ``--help`` order.
     """
 
     name: str
@@ -389,31 +530,21 @@ def apply_gates(gates: Iterable[tuple[bool, str]]) -> int:
     return status
 
 
-def apply_baseline(
-    report, baseline_path: str | None, check: Callable[[object, dict], list]
-) -> int:
-    """Load a committed baseline and report every drifted number."""
+def apply_baseline(report, baseline_path: str | None) -> int:
+    """Load a committed baseline and report every problem
+    :func:`check_baseline` finds."""
     if not baseline_path:
         return 0
-    problems = check(report, load_json(baseline_path, "baseline"))
+    problems = check_baseline(report, load_json(baseline_path, "baseline"))
     for problem in problems:
         print(f"baseline regression: {problem}", file=sys.stderr)
     return 1 if problems else 0
 
 
-def finish_report(
-    report,
-    arguments,
-    check_baseline: Callable[[object, dict], list] | None = None,
-) -> int:
+def finish_report(report, arguments) -> int:
     """The whole bench-command tail: artifact, print, gates, baseline."""
     write_report(report, arguments)
     status = apply_gates(report.gates())
-    if check_baseline is not None:
-        status = max(
-            status,
-            apply_baseline(
-                report, getattr(arguments, "baseline", None), check_baseline
-            ),
-        )
-    return status
+    return max(
+        status, apply_baseline(report, getattr(arguments, "baseline", None))
+    )

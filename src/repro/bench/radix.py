@@ -28,9 +28,11 @@ The acceptance gates mirror the issue's criteria:
   motivates planning radix at large k in the first place;
 * the fused batch **beats per-query execution at every batch >= 2**.
 
-CI additionally gates every point's simulated milliseconds against the
-committed ``benchmarks/baselines/BENCH_radix.json`` via
-:func:`check_baseline`.
+CI additionally gates the k sweep's RadiK and strawman milliseconds and
+the batch sweep's fused milliseconds against the committed
+``benchmarks/baselines/BENCH_radix.json`` through the one baseline
+checker, :func:`repro.bench.common.check_baseline`, over
+:attr:`RadixBenchReport.BASELINE_GATES`.
 
 Functional arrays are capped at ``functional_cap`` elements (exactness
 is checked on the functional payload; the trace models the full
@@ -49,7 +51,7 @@ from repro.algorithms.radik import RadiKTopK, batched_radik_topk
 from repro.core.topk import topk
 from repro.errors import InvalidParameterError, ResourceExhaustedError
 from repro.gpu.device import DeviceSpec, get_device
-from repro.bench.common import BASELINE_TOLERANCE, drifted, incomparable
+from repro.bench.common import Gate
 from repro.gpu.timing import trace_time
 
 #: JSON schema tag of a serialized report.
@@ -212,6 +214,14 @@ class RadixBenchReport:
     device: str
     points: list = field(default_factory=list)
     batch_points: list = field(default_factory=list)
+
+    #: What a committed baseline holds: RadiK's and the strawman's
+    #: simulated ms at every k, and the fused launch's at every batch.
+    BASELINE_GATES = (
+        Gate("points[k].radik_ms"),
+        Gate("points[k].strawman_ms"),
+        Gate("batch_points[batch].batched_ms"),
+    )
 
     @property
     def identical(self) -> bool:
@@ -430,63 +440,3 @@ def run_radix_benchmark(
             )
         )
     return report
-
-
-def check_baseline(report: RadixBenchReport, baseline: dict) -> list[str]:
-    """Regression-gate a report against a committed baseline.
-
-    Returns the list of violations (empty = pass).  Only deterministic
-    quantities are gated — per-point simulated milliseconds (within
-    :data:`BASELINE_TOLERANCE`), exactness, and the gate verdicts —
-    never wall clock.
-    """
-    problems = incomparable(baseline, REPORT_FORMAT, report.workload.to_dict())
-    if problems:
-        return problems
-    measured = {p.k: p for p in report.points}
-    for expected in baseline.get("points", []):
-        point = measured.get(expected["k"])
-        if point is None:
-            problems.append(f"sweep is missing baseline point k={expected['k']}")
-            continue
-        label = f"point (k={expected['k']})"
-        for key, value in (
-            ("radik_ms", point.radik_ms),
-            ("strawman_ms", point.strawman_ms),
-        ):
-            expected_ms = expected[key]
-            if drifted(value, expected_ms):
-                problems.append(
-                    f"{label} {key} {value:.4f} deviates more than "
-                    f"{BASELINE_TOLERANCE:.0%} from baseline {expected_ms:.4f}"
-                )
-        if expected.get("identical", True) and not point.identical:
-            problems.append(
-                f"{label} is no longer bit-equal to the reference"
-            )
-    measured_batches = {p.batch: p for p in report.batch_points}
-    for expected in baseline.get("batch_points", []):
-        point = measured_batches.get(expected["batch"])
-        if point is None:
-            problems.append(
-                f"sweep is missing baseline point batch={expected['batch']}"
-            )
-            continue
-        label = f"point (batch={expected['batch']})"
-        expected_ms = expected["batched_ms"]
-        if drifted(point.batched_ms, expected_ms):
-            problems.append(
-                f"{label} batched_ms {point.batched_ms:.4f} deviates more "
-                f"than {BASELINE_TOLERANCE:.0%} from baseline {expected_ms:.4f}"
-            )
-        if expected.get("identical", True) and not point.identical:
-            problems.append(
-                f"{label} is no longer bit-equal to the reference"
-            )
-    if baseline.get("passed") and not report.passed:
-        problems.append(
-            "radix gates regressed: baseline passed exactness, the "
-            f"large-k (>= {GATE_LARGE_K}) monotonic speedup, and batch "
-            "amortization; this run does not"
-        )
-    return problems

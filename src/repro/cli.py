@@ -406,9 +406,7 @@ def _command_bench(arguments) -> int:
         )
         if getattr(arguments, "store", None):
             options["store"].save(arguments.store)
-    return finish_report(
-        report, arguments, getattr(module, "check_baseline", None)
-    )
+    return finish_report(report, arguments)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -25,7 +25,6 @@ from repro.serving.batcher import (
 from repro.serving.bench import (
     ServeBenchReport,
     Workload,
-    check_baseline,
     run_serving_benchmark,
 )
 from repro.serving.plan_cache import DEFAULT_CAPACITY, PlanCache
@@ -45,7 +44,6 @@ __all__ = [
     "ServingRequest",
     "TopKServer",
     "Workload",
-    "check_baseline",
     "network_k",
     "run_serving_benchmark",
 ]

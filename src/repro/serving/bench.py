@@ -27,7 +27,7 @@ from repro.algorithms.registry import create
 from repro.core.planner import TopKPlanner
 from repro.errors import InvalidParameterError
 from repro.gpu.device import DeviceSpec, get_device
-from repro.bench.common import BASELINE_TOLERANCE, drifted, incomparable
+from repro.bench.common import Gate
 from repro.gpu.timing import trace_time
 from repro.serving.scheduler import TopKServer
 
@@ -105,6 +105,16 @@ class ServeBenchReport:
     identical: bool
     cache: dict
     batcher: dict
+
+    #: What a committed baseline holds: both paths' simulated ms, the
+    #: plan cache hit rate, and the fused-launch count (more launches than
+    #: the baseline means fewer riders per launch). Never wall clock.
+    BASELINE_GATES = (
+        Gate("sequential.simulated_ms"),
+        Gate("served.simulated_ms"),
+        Gate("plan_cache.hit_rate", "floor", 0.05),
+        Gate("batcher.batches", "ceiling"),
+    )
 
     @property
     def wall_speedup(self) -> float:
@@ -271,41 +281,3 @@ def run_serving_benchmark(
         cache=cache_stats,
         batcher=batcher_stats,
     )
-
-
-def check_baseline(report: ServeBenchReport, baseline: dict) -> list[str]:
-    """Regression-gate a report against a committed baseline.
-
-    Returns the list of violations (empty = pass).  Only deterministic
-    quantities are gated — simulated milliseconds, the cache hit rate and
-    the number of fused launches (more launches than the baseline means
-    fewer riders per launch) — never wall clock, which depends on the
-    machine.
-    """
-    problems = incomparable(baseline, REPORT_FORMAT, report.workload.to_dict())
-    if problems:
-        return problems
-    for path in ("sequential", "served"):
-        expected = baseline[path]["simulated_ms"]
-        measured = report.to_dict()[path]["simulated_ms"]
-        if drifted(measured, expected):
-            problems.append(
-                f"{path} simulated ms {measured:.3f} deviates more than "
-                f"{BASELINE_TOLERANCE:.0%} from baseline {expected:.3f}"
-            )
-    expected_rate = baseline.get("plan_cache", {}).get("hit_rate")
-    if expected_rate is not None and report.hit_rate < expected_rate - 0.05:
-        problems.append(
-            f"plan cache hit rate {report.hit_rate:.1%} fell below baseline "
-            f"{expected_rate:.1%}"
-        )
-    expected_batches = baseline.get("batcher", {}).get("batches")
-    batches = report.batcher.get("batches", 0)
-    if expected_batches and not batches:
-        problems.append("baseline batched, this run did not")
-    elif expected_batches and batches > expected_batches:
-        problems.append(
-            f"{batches} fused launches exceed the baseline's "
-            f"{expected_batches}: fewer riders per launch"
-        )
-    return problems

@@ -22,7 +22,6 @@ end-to-end:
 from repro.sharding.bench import (
     ShardBenchReport,
     ShardWorkload,
-    check_baseline,
     run_sharding_benchmark,
 )
 from repro.sharding.executor import DEFAULT_SHARDS, ShardedTopK
@@ -40,7 +39,6 @@ __all__ = [
     "ShardWorkload",
     "ShardedTopK",
     "build_sharded_plan",
-    "check_baseline",
     "merge_topk",
     "parse_shard_range",
     "partition_ranges",

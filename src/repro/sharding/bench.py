@@ -19,7 +19,9 @@ improve *monotonically* from 1 shard through :data:`GATE_MAX_SHARDS`
 (larger counts are reported but not gated — past the knee the fixed
 per-shard overheads may win).  CI additionally gates every point's
 simulated milliseconds against the committed
-``benchmarks/baselines/BENCH_sharding.json`` via :func:`check_baseline`.
+``benchmarks/baselines/BENCH_sharding.json`` through the one baseline
+checker, :func:`repro.bench.common.check_baseline`, over
+:attr:`ShardBenchReport.BASELINE_GATES`.
 
 Functional arrays are capped at ``functional_cap`` elements (exactness
 is checked on the functional payload; the trace models the full
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.algorithms.base import reference_topk
-from repro.bench.common import BASELINE_TOLERANCE, drifted, incomparable
+from repro.bench.common import Gate
 from repro.errors import InvalidParameterError
 from repro.gpu.device import DeviceSpec, get_device
 from repro.gpu.timing import trace_time
@@ -142,6 +144,9 @@ class ShardBenchReport:
     device: str
     points: list = field(default_factory=list)
 
+    #: What a committed baseline holds: each point's simulated ms.
+    BASELINE_GATES = (Gate("points[shards].simulated_ms"),)
+
     @property
     def identical(self) -> bool:
         """Every point bit-equal to the single-device reference."""
@@ -249,42 +254,3 @@ def run_sharding_benchmark(
             )
         )
     return report
-
-
-def check_baseline(report: ShardBenchReport, baseline: dict) -> list[str]:
-    """Regression-gate a report against a committed baseline.
-
-    Returns the list of violations (empty = pass).  Only deterministic
-    quantities are gated — per-point simulated milliseconds (within
-    :data:`BASELINE_TOLERANCE`), exactness, and the monotonic verdict —
-    never wall clock.
-    """
-    problems = incomparable(baseline, REPORT_FORMAT, report.workload.to_dict())
-    if problems:
-        return problems
-    measured_points = {p.shards: p for p in report.points}
-    for expected in baseline.get("points", []):
-        shards = expected["shards"]
-        point = measured_points.get(shards)
-        if point is None:
-            problems.append(f"curve is missing baseline point shards={shards}")
-            continue
-        label = f"point (shards={shards})"
-        expected_ms = expected["simulated_ms"]
-        if drifted(point.simulated_ms, expected_ms):
-            problems.append(
-                f"{label} simulated_ms {point.simulated_ms:.4f} deviates "
-                f"more than {BASELINE_TOLERANCE:.0%} from baseline "
-                f"{expected_ms:.4f}"
-            )
-        if expected.get("identical", True) and not point.identical:
-            problems.append(
-                f"{label} is no longer bit-equal to the reference"
-            )
-    if baseline.get("passed") and not report.passed:
-        problems.append(
-            "scaling gate regressed: baseline was bit-equal with "
-            f"monotonic improvement through {GATE_MAX_SHARDS} shards, "
-            "this run is not"
-        )
-    return problems

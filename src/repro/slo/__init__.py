@@ -34,7 +34,6 @@ from repro.slo.bench import (
     SATURATION_GOODPUT,
     RatePoint,
     SloBenchReport,
-    check_baseline,
     run_slo_benchmark,
 )
 from repro.slo.qos import (
@@ -92,7 +91,6 @@ __all__ = [
     "SloScheduler",
     "SloTopKServer",
     "bursty_arrivals",
-    "check_baseline",
     "poisson_arrivals",
     "run_slo_benchmark",
     "simulate",

@@ -38,7 +38,7 @@ from repro.gpu.device import DeviceSpec, get_device
 from repro.observability.metrics import MetricsRegistry
 from repro.serving.plan_cache import PlanCache
 from repro.slo.arrivals import OpenLoopWorkload
-from repro.bench.common import BASELINE_TOLERANCE, drifted, incomparable
+from repro.bench.common import Gate
 from repro.slo.qos import DEFAULT_POLICY, SloPolicy
 from repro.slo.scheduler import FifoScheduler, SloScheduler
 from repro.slo.simulator import SimulationResult, simulate
@@ -99,6 +99,15 @@ class SloBenchReport:
 
     workload: dict
     points: list[RatePoint]
+
+    #: What a committed baseline holds: both arms' goodput at every rate
+    #: and the SLO arm's gold-class p99 simulated latency (skipped at a
+    #: rate where either side completed no gold query).
+    BASELINE_GATES = (
+        Gate("points[rate].fifo.goodput"),
+        Gate("points[rate].slo.goodput"),
+        Gate("points[rate].slo.classes.gold.p99", optional=True),
+    )
 
     @property
     def dominates(self) -> bool:
@@ -277,42 +286,3 @@ def run_slo_benchmark(
             if key != "rate_per_ms"
         }
     return SloBenchReport(workload=workload_dict, points=points)
-
-
-def check_baseline(report: SloBenchReport, baseline: dict) -> list[str]:
-    """Regression-gate a report against a committed baseline.
-
-    Only deterministic quantities are compared: per-rate goodput of both
-    arms and the SLO arm's gold-class p99 simulated latency.
-    """
-    problems = incomparable(baseline, REPORT_FORMAT, report.workload)
-    if problems:
-        return problems
-    measured_points = {point.rate: point for point in report.points}
-    for entry in baseline.get("points", []):
-        rate = entry["rate"]
-        point = measured_points.get(rate)
-        if point is None:
-            problems.append(f"rate {rate} missing from the measured sweep")
-            continue
-        for arm in ("fifo", "slo"):
-            expected = entry[arm]["goodput"]
-            measured = getattr(point, arm).goodput
-            if drifted(measured, expected):
-                problems.append(
-                    f"{arm} goodput at rate {rate} ({measured:.3f}) deviates "
-                    f"more than {BASELINE_TOLERANCE:.0%} from baseline "
-                    f"{expected:.3f}"
-                )
-        expected_p99 = (
-            entry["slo"].get("classes", {}).get("gold", {}).get("p99")
-        )
-        measured_p99 = point.slo.class_latency("gold").get("p99")
-        if expected_p99 is not None and measured_p99 is not None:
-            if drifted(measured_p99, expected_p99):
-                problems.append(
-                    f"gold p99 at rate {rate} ({measured_p99:.3f} ms) deviates "
-                    f"more than {BASELINE_TOLERANCE:.0%} from baseline "
-                    f"{expected_p99:.3f} ms"
-                )
-    return problems

@@ -16,7 +16,6 @@ from repro.streaming.bench import (
     StreamBenchReport,
     StreamPoint,
     StreamWorkload,
-    check_baseline,
     run_streaming_benchmark,
 )
 from repro.streaming.serve import (
@@ -33,7 +32,6 @@ __all__ = [
     "StreamBenchReport",
     "StreamPoint",
     "StreamWorkload",
-    "check_baseline",
     "run_streaming_benchmark",
     "TICK_STATUSES",
     "StreamServeReport",

@@ -22,9 +22,11 @@ bit-equality runs the real maintainers over small seeded chunks
 headline ``model_chunk_rows`` — big enough that memory traffic, not
 kernel-launch overhead, dominates each tick.
 
-CI gates every number against the committed
-``benchmarks/baselines/BENCH_streaming.json`` via :func:`check_baseline`
-(shared tolerance from :mod:`repro.bench.common`).
+CI gates each arm's total simulated milliseconds and the measured
+speedup against the committed
+``benchmarks/baselines/BENCH_streaming.json`` through the one baseline
+checker, :func:`repro.bench.common.check_baseline`, over
+:attr:`StreamBenchReport.BASELINE_GATES`.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.bench.common import BASELINE_TOLERANCE, drifted, incomparable
+from repro.bench.common import Gate
 from repro.costmodel.streaming_model import StreamingModel
 from repro.data.stream import stream_chunk
 from repro.errors import InvalidParameterError
@@ -175,6 +177,13 @@ class StreamBenchReport:
     #: The cost model's predicted incremental speedup (context for the
     #: measured number; not gated).
     predicted_speedup: float = 0.0
+
+    #: What a committed baseline holds: each arm's total simulated ms
+    #: and the measured incremental speedup.
+    BASELINE_GATES = (
+        Gate("points[arm].total_simulated_ms"),
+        Gate("measured_speedup"),
+    )
 
     def point(self, arm: str) -> StreamPoint | None:
         for point in self.points:
@@ -393,48 +402,3 @@ def run_streaming_benchmark(
         )
     )
     return report
-
-
-def check_baseline(report: StreamBenchReport, baseline: dict) -> list[str]:
-    """Regression-gate a report against a committed baseline.
-
-    Returns the list of violations (empty = pass).  Only deterministic
-    quantities are gated — per-arm simulated milliseconds and the
-    measured speedup (within the shared tolerance), tick equality, and
-    the pass verdict — never wall clock.
-    """
-    problems = incomparable(baseline, REPORT_FORMAT, report.workload.to_dict())
-    if problems:
-        return problems
-    for expected in baseline.get("points", []):
-        arm = expected["arm"]
-        point = report.point(arm)
-        if point is None:
-            problems.append(f"report is missing baseline arm {arm!r}")
-            continue
-        expected_ms = expected["total_simulated_ms"]
-        if drifted(point.total_simulated_ms, expected_ms):
-            problems.append(
-                f"arm {arm!r} total_simulated_ms "
-                f"{point.total_simulated_ms:.4f} deviates more than "
-                f"{BASELINE_TOLERANCE:.0%} from baseline {expected_ms:.4f}"
-            )
-        if expected.get("identical", True) and not point.identical:
-            problems.append(
-                f"arm {arm!r} is no longer bit-equal to its recompute oracle"
-            )
-    expected_speedup = baseline.get("measured_speedup")
-    if expected_speedup is not None and drifted(
-        report.measured_speedup, expected_speedup
-    ):
-        problems.append(
-            f"measured speedup {report.measured_speedup:.2f}x deviates more "
-            f"than {BASELINE_TOLERANCE:.0%} from baseline "
-            f"{expected_speedup:.2f}x"
-        )
-    if baseline.get("passed") and not report.passed:
-        problems.append(
-            "streaming gate regressed: baseline was bit-equal with the "
-            f">= {GATE_SPEEDUP:.1f}x incremental speedup, this run is not"
-        )
-    return problems

@@ -6,11 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.approx import (
-    ApproxWorkload,
-    check_baseline,
-    run_approx_benchmark,
-)
+from repro.approx import ApproxWorkload, run_approx_benchmark
 from repro.approx.bench import (
     DEFAULT_BUCKETS,
     HEADLINE_K,
@@ -19,6 +15,7 @@ from repro.approx.bench import (
     MIN_HEADLINE_SPEEDUP,
     REPORT_FORMAT,
 )
+from repro.bench import check_baseline
 from repro.errors import InvalidParameterError
 
 BASELINE_PATH = (

@@ -9,7 +9,6 @@ from repro.approx import (
     ApproxBucketTopK,
     ApproxConfig,
     default_config,
-    exact_delegate_filter,
     expected_recall,
     measured_recall,
 )
@@ -131,14 +130,6 @@ class TestSpecialValues:
 
 
 class TestDelegateFilter:
-    def test_exact_filter_keeps_every_topk_member(self, rng):
-        data = rng.random(1 << 12).astype(np.float32)
-        groups, members = exact_delegate_filter(data, 32, 64)
-        _, exact_indices = reference_topk(data, 32)
-        assert set(exact_indices.tolist()) <= set(members.tolist())
-        # Each surviving group contributes its full member run.
-        assert len(members) == len(groups) * 64
-
     def test_delegate_mode_still_finds_the_top(self, rng, device):
         data = rng.random(1 << 14).astype(np.float32)
         config = ApproxConfig(buckets=16, delegate_group=32)

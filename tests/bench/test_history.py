@@ -66,6 +66,16 @@ class TestCompare:
         baseline = _make_figure({32: 100.0})
         assert compare(baseline, _make_figure({32: 50.0}))
 
+    def test_nan_is_a_regression_even_slower_only(self):
+        # NaN compares false to everything, so neither "no slower" nor
+        # "within tolerance" may pass it.
+        baseline = _make_figure({32: 100.0})
+        nan = float("nan")
+        for before, after in ((baseline, _make_figure({32: nan})),
+                              (_make_figure({32: nan}), baseline)):
+            assert len(compare(before, after, slower_only=True)) == 1
+            assert len(compare(before, after)) == 1
+
     def test_new_points_ignored(self):
         baseline = _make_figure({32: 100.0})
         current = _make_figure({32: 100.0, 64: 1.0})

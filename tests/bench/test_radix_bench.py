@@ -7,10 +7,10 @@ import json
 import numpy as np
 import pytest
 
+from repro.bench import check_baseline
 from repro.bench.radix import (
     GATE_LARGE_K,
     RadixWorkload,
-    check_baseline,
     run_radix_benchmark,
 )
 from repro.cli import main

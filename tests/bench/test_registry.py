@@ -1,14 +1,18 @@
 """The bench registry: one command path, its CI matrix entries, its
 baselines, and its exit-code contract."""
 
+import copy
 import importlib
 import json
+import math
+import typing
 from pathlib import Path
 
 import pytest
 
+from repro.bench import check_baseline
 from repro.bench.cli import main as bench_main
-from repro.bench.common import BENCHES
+from repro.bench.common import BASELINE_TOLERANCE, BENCHES
 from repro.cli import main
 from repro.errors import EXIT_CODES, InvalidParameterError
 
@@ -76,6 +80,107 @@ class TestRegistry:
         module = importlib.import_module(bench.module)
         baseline = json.loads((ROOT / bench.baseline).read_text())
         assert baseline["format"] == module.REPORT_FORMAT
+
+
+def report_class(bench):
+    """The report class a bench's runner returns."""
+    module = importlib.import_module(bench.module)
+    return typing.get_type_hints(getattr(module, bench.runner))["return"]
+
+
+class Committed:
+    """A report whose ``to_dict()`` is a given document."""
+
+    def __init__(self, bench, document):
+        self.BASELINE_GATES = report_class(bench).BASELINE_GATES
+        self.document = document
+
+    def to_dict(self):
+        return self.document
+
+
+def gated_numbers(document, gate):
+    """``(label, container, key)`` of every number ``gate.path`` names in
+    ``document``, resolved independently of the checker; an unresolved
+    step raises ``KeyError`` unless the gate is optional."""
+    found = [("", document)]
+    *parents, leaf = gate.path.split(".")
+    for part in parents:
+        name, _, fields = part.rstrip("]").partition("[")
+        found = [
+            (f"{label}.{name}" if label else name, node[name])
+            for label, node in found
+            if not gate.optional or name in node
+        ]
+        if fields:
+            keys = fields.split(",")
+            found = [
+                (f"{label}[{','.join(f'{k}={point[k]}' for k in keys)}]", point)
+                for label, points in found
+                for point in points
+            ]
+    return [
+        (f"{label}.{leaf}" if label else leaf, node, leaf)
+        for label, node in found
+        if not gate.optional or leaf in node
+    ]
+
+
+def past_rule(gate, value):
+    """``value`` moved just past what ``gate``'s rule allows."""
+    if gate.rule == "floor":
+        return value - 2 * gate.margin
+    if gate.rule == "ceiling":
+        return value + 1
+    return value * (1 + 2 * BASELINE_TOLERANCE) if value else 1.0
+
+
+def to_nan(gate, value):
+    return math.nan
+
+
+#: (which document is moved, how): past the rule in the report, and NaN
+#: on either side.
+MOVES = [("report", past_rule), ("report", to_nan), ("baseline", to_nan)]
+
+
+class TestBaselineGates:
+    """Every gate of every bench against its committed baseline; no bench
+    runs."""
+
+    @pytest.mark.parametrize("bench", WITH_BASELINE, ids=_ids)
+    def test_every_gate_resolves_in_the_committed_baseline(self, bench):
+        baseline = json.loads((ROOT / bench.baseline).read_text())
+        for gate in report_class(bench).BASELINE_GATES:
+            numbers = gated_numbers(baseline, gate)
+            assert numbers, f"{gate.path} names no number in {bench.baseline}"
+            for label, node, key in numbers:
+                assert isinstance(node[key], (int, float)), label
+
+    @pytest.mark.parametrize("bench", WITH_BASELINE, ids=_ids)
+    def test_committed_baseline_passes_against_itself(self, bench):
+        baseline = json.loads((ROOT / bench.baseline).read_text())
+        assert check_baseline(Committed(bench, baseline), baseline) == []
+
+    @pytest.mark.parametrize("bench", WITH_BASELINE, ids=_ids)
+    @pytest.mark.parametrize(
+        "side, move", MOVES, ids=["past-rule", "nan-report", "nan-baseline"]
+    )
+    def test_each_moved_number_is_one_problem(self, bench, side, move):
+        baseline = json.loads((ROOT / bench.baseline).read_text())
+        for gate in report_class(bench).BASELINE_GATES:
+            for position in range(len(gated_numbers(baseline, gate))):
+                documents = {
+                    "report": copy.deepcopy(baseline),
+                    "baseline": copy.deepcopy(baseline),
+                }
+                label, node, key = gated_numbers(documents[side], gate)[position]
+                node[key] = move(gate, node[key])
+                problems = check_baseline(
+                    Committed(bench, documents["report"]), documents["baseline"]
+                )
+                assert len(problems) == 1, (label, problems)
+                assert problems[0].startswith(f"{label} "), problems
 
 
 class TestBenchExits:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.serving import Workload, check_baseline, run_serving_benchmark
+from repro.bench import check_baseline
+from repro.serving import Workload, run_serving_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +117,7 @@ class TestBaselineGate:
             report, batcher={**report.batcher, "batches": 0}
         )
         assert check_baseline(unbatched, report.to_dict()) == [
-            "baseline batched, this run did not"
+            f"batcher.batches fell to 0 from baseline {report.batcher['batches']}"
         ]
 
     def test_fewer_riders_per_launch_is_flagged(self, report):
@@ -125,8 +126,7 @@ class TestBaselineGate:
             report, batcher={**report.batcher, "batches": batches + 1}
         )
         assert check_baseline(split, report.to_dict()) == [
-            f"{batches + 1} fused launches exceed the baseline's {batches}: "
-            "fewer riders per launch"
+            f"batcher.batches {batches + 1} exceeds baseline {batches}"
         ]
         merged = dataclasses.replace(
             report, batcher={**report.batcher, "batches": max(1, batches - 1)}

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.sharding import ShardWorkload, check_baseline, run_sharding_benchmark
+from repro.bench import check_baseline
+from repro.sharding import ShardWorkload, run_sharding_benchmark
 from repro.sharding.bench import GATE_MAX_SHARDS
 
 

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from repro.errors import InvalidParameterError
-from repro.slo import check_baseline, run_slo_benchmark
+from repro.bench import check_baseline
+from repro.slo import run_slo_benchmark
 
 RATES = (8.0, 60.0)
 
@@ -90,4 +91,4 @@ class TestBaselineGate:
         )
         baseline["points"][-1]["rate"] = 99.0
         problems = check_baseline(report, baseline)
-        assert any("rate 99.0 missing" in problem for problem in problems)
+        assert problems == ["report is missing baseline points[rate=99.0]"]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bench import check_baseline
 from repro.errors import InvalidParameterError
 from repro.gpu.device import get_device
 from repro.streaming.bench import (
@@ -9,7 +10,6 @@ from repro.streaming.bench import (
     StreamBenchReport,
     StreamPoint,
     StreamWorkload,
-    check_baseline,
     run_streaming_benchmark,
 )
 
@@ -141,10 +141,13 @@ class TestBaseline:
             ).to_dict()
         )
         problems = check_baseline(report, baseline)
-        assert any("missing baseline arm" in problem for problem in problems)
+        assert problems == [
+            "report is missing baseline points[arm=window-quantum]"
+        ]
 
     def test_flags_equality_regression(self, report):
-        # A report that lost bit-equality against a baseline that had it.
+        # A report that lost bit-equality fails its own gate (the command
+        # exits 1 on it); the baseline checker holds only the numbers.
         broken = StreamBenchReport(
             workload=SMALL, device=report.device,
             predicted_speedup=report.predicted_speedup,
@@ -157,6 +160,9 @@ class TestBaseline:
                     mean_tick_ms=point.mean_tick_ms, identical=False,
                 )
             )
-        problems = check_baseline(broken, report.to_dict())
-        assert any("no longer bit-equal" in problem for problem in problems)
-        assert any("gate regressed" in problem for problem in problems)
+        failed = [message for ok, message in broken.gates() if not ok]
+        assert failed == [
+            "an incremental answer is not bit-equal to its recompute oracle"
+        ]
+        assert not broken.passed
+        assert check_baseline(broken, report.to_dict()) == []
