@@ -1,9 +1,10 @@
 """Vectorized executors for the three bitonic top-k operators.
 
-These run the step sequences of :mod:`repro.bitonic.network` with numpy —
-one array operation per massively parallel step, which is the same dataflow
-the GPU executes (each element of the numpy expression corresponds to one
-thread's compare-exchange).
+:func:`apply_step`, :func:`local_sort`, :func:`merge` and :func:`rebuild`
+run the step sequences of :mod:`repro.bitonic.network` with numpy — one
+array operation per massively parallel step, the same dataflow the GPU
+executes (each element of the numpy expression is one thread's
+compare-exchange).  They are the network's step-by-step reference.
 
 Conventions (matching the paper's Algorithms 2-4):
 
@@ -21,18 +22,18 @@ Conventions (matching the paper's Algorithms 2-4):
 
 Every step runs on block views — the lower partners are the first ``inc``
 slots of each ``2 * inc`` block — with a branch-free XOR swap, never a
-gather.  :func:`reduce_topk` keeps its buffer **tile-major**: each row's
-``m = n / k`` runs are transposed once into a ``(k, m)`` tile whose column
-``c`` holds run ``c``.  Partners ``p`` and ``p + inc`` of every run are
-then whole tile rows, so a local-sort or rebuild step exchanges contiguous
-row blocks across all runs and batch rows at once; its direction is a row
-bit (``direction_period < k``) or the column's parity
-(``direction_period == k``).  Runs ``2j`` and ``2j + 1`` sit in adjacent
-columns, so the merge pairs columns and leaves run ``j`` in column ``j``
-of the half-width tile.  This is the functional analogue of Section 4.3's
-shared-memory combined steps, where a thread block keeps its k-run
-resident through all of that run's steps.  The exchange decisions are the
-network's own, so results are bit-identical to stepping the logical order.
+gather.
+
+:func:`reduce_topk` computes the network's output without stepping it.  A
+local sort or a rebuild is a sorting network applied to each k-run, and on
+keys that are distinct (or equal only where their bits are) a sorting
+network has one possible output: the sorted run.  So the reduction sorts
+every k-run, keeps the paper's merge unchanged, re-sorts, and repeats —
+bit-identical to stepping.  The top-k kernels rank exactly such keys:
+each row rides in its key or in the payload, and every padding key is 0.
+The simulated cost never reads the data (Section 6.4):
+:func:`repro.bitonic.kernels.build_trace` prices the network's steps from
+n, k, item size and flags alone.
 
 All operators optionally carry a payload of signed row ids through the
 same exchanges, supporting the key+value experiments of Section 6.6.  The
@@ -44,8 +45,6 @@ without one.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -62,9 +61,6 @@ def _ascending(count: int, bit: int) -> np.ndarray:
     """Which of ``count`` blocks run ascending: those with ``bit`` clear."""
     return (np.arange(count) & bit) == 0
 
-
-#: Tile masks are few and small; logical-order masks can be long, so uncached.
-_tile_ascending = functools.lru_cache(maxsize=256)(_ascending)
 
 _UNSIGNED = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
@@ -103,35 +99,24 @@ def _less(pairs: np.ndarray, payload_pairs: np.ndarray | None) -> np.ndarray:
 
 
 def apply_step(
-    values: np.ndarray,
-    step: Step,
-    payload: np.ndarray | None = None,
-    *,
-    tile: tuple[int, int] | None = None,
+    values: np.ndarray, step: Step, payload: np.ndarray | None = None
 ) -> None:
     """Apply one compare-exchange step in place.
 
-    ``values`` and ``payload`` (the second key) are 1-D, by default in the
-    network's logical order.  ``tile=(k, m)`` marks them as the flattened
-    tile-major buffer of :func:`reduce_topk`: consecutive ``(k, m)`` tiles,
-    column ``c`` holding run ``c``.
+    ``values`` and ``payload`` (the second key) are 1-D, in the network's
+    logical order.
     """
     n = len(values)
-    run, columns = tile or (n, 1)
-    if run % (2 * step.inc) != 0 or (tile and n % (run * columns) != 0):
+    if n % (2 * step.inc) != 0:
         raise InvalidParameterError(
             f"array length {n} is not a multiple of the step block {2 * step.inc}"
         )
-    pairs = values.reshape(-1, 2, step.inc, columns)
-    if step.direction_period < run:
+    pairs = values.reshape(-1, 2, step.inc)
+    if step.direction_period < n:
         # Blocks never straddle a run, so a block's first lower partner
         # carries the direction bit for the whole block.
-        ascending = _tile_ascending if tile else _ascending
         block_bit = step.direction_period // (2 * step.inc)
-        reverse = ascending(len(pairs), block_bit)[:, None, None]
-    elif tile:
-        # Column c holds run c: the direction is a bit of the column index.
-        reverse = _tile_ascending(columns, step.direction_period // run)
+        reverse = _ascending(len(pairs), block_bit)[:, None]
     else:
         reverse = True  # the period spans the whole buffer
     payload_pairs = payload.reshape(pairs.shape) if payload is not None else None
@@ -142,9 +127,7 @@ def apply_step(
         _exchange(payload_pairs, swap)
 
 
-def local_sort(
-    values: np.ndarray, k: int, payload: np.ndarray | None = None
-) -> None:
+def local_sort(values: np.ndarray, k: int, payload: np.ndarray | None = None) -> None:
     """Sort ``values`` in place into alternating runs of length ``k``."""
     if len(values) % max(k, 2) != 0:
         raise InvalidParameterError("array length must be a multiple of k")
@@ -179,9 +162,7 @@ def merge(
     return merged, merged_payload
 
 
-def rebuild(
-    values: np.ndarray, k: int, payload: np.ndarray | None = None
-) -> None:
+def rebuild(values: np.ndarray, k: int, payload: np.ndarray | None = None) -> None:
     """Re-sort length-k bitonic sequences into alternating runs, in place."""
     if len(values) % max(k, 2) != 0 and k > 1:
         raise InvalidParameterError("array length must be a multiple of k")
@@ -189,32 +170,18 @@ def rebuild(
         apply_step(values, step, payload)
 
 
-def _reduce_tiles(
-    values: np.ndarray, k: int, payload: np.ndarray | None
+def _sort_runs(
+    values: np.ndarray, payload: np.ndarray | None, k: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Local sort, then merge+rebuild down to one run, on tile-major rows:
-    ``(rows, n)`` in, each row's surviving bitonic k-sequence out."""
-    rows, n = values.shape
-    runs = n // k
-
-    def to_tiles(array: np.ndarray) -> np.ndarray:
-        return array.reshape(rows, runs, k).transpose(0, 2, 1).reshape(-1)
-
-    values = to_tiles(values)
-    if payload is not None:
-        payload = to_tiles(payload)
-    for step in local_sort_steps(k):
-        apply_step(values, step, payload, tile=(k, runs))
-    rebuild = rebuild_steps(k)
-    while runs > 1:
-        runs //= 2
-        values, payload = merge(values, 1, payload)  # adjacent columns
-        if runs > 1:
-            for step in rebuild:
-                apply_step(values, step, payload, tile=(k, runs))
-    return values.reshape(rows, k), (
-        payload.reshape(rows, k) if payload is not None else None
-    )
+    """Copies of ``values`` (and ``payload``) as ``(runs, k)`` arrays, each
+    run sorted ascending in the network's order: value ascending, the higher
+    payload first among equal values."""
+    runs = values.reshape(-1, k)
+    if payload is None:
+        return np.sort(runs, axis=-1), None
+    payload = payload.reshape(-1, k)
+    order = np.lexsort((-payload, runs), axis=-1)
+    return np.take_along_axis(runs, order, -1), np.take_along_axis(payload, order, -1)
 
 
 def reduce_topk(
@@ -223,30 +190,24 @@ def reduce_topk(
     """The full operator pipeline: local sort, then merge+rebuild to k elements.
 
     ``values`` is one row or a ``(rows, n)`` batch, each row reduced
-    independently; a 1-D input is a batch of one.  The inputs are left
-    unchanged; the returned arrays hold each row's top-k (sorted
+    independently.  Local sort and rebuild are run sorts (see the module
+    docstring); between them the paper's merge halves the runs.  The inputs
+    are left unchanged; the returned arrays hold each row's top-k (sorted
     descending, the lower payload first on ties) and the corresponding
     payload entries.
     """
     validate_power_of_two(k, "k")
-    single = values.ndim == 1
-    if single:
-        values = values[np.newaxis]
-        payload = payload[np.newaxis] if payload is not None else None
-    n = values.shape[1]
+    n = values.shape[-1]
     validate_power_of_two(n, "n")
     if k > n:
         raise InvalidParameterError("k cannot exceed the (padded) input size")
-    if k < n:
-        values, payload = _reduce_tiles(values, k, payload)
-    # The final k survivors form one bitonic sequence; sort them descending,
-    # the lower payload first among equal values.
-    if payload is None:
-        top, top_payload = np.sort(values, axis=1)[:, ::-1], None
-    else:
-        order = np.lexsort((-payload, values), axis=1)[:, ::-1]
-        top = np.take_along_axis(values, order, axis=1)
-        top_payload = np.take_along_axis(payload, order, axis=1)
-    if single:
-        return top[0], top_payload[0] if top_payload is not None else None
-    return top, top_payload
+    runs, payload = _sort_runs(values, payload, k)
+    while len(runs) > values.size // n:
+        # The merge pairs run 2j ascending with run 2j + 1 descending.
+        runs[1::2] = runs[1::2, ::-1]
+        if payload is not None:
+            payload[1::2] = payload[1::2, ::-1]
+        runs, payload = _sort_runs(*merge(runs.reshape(-1), k, payload), k)
+    shape = values.shape[:-1] + (k,)
+    top = runs.reshape(shape)[..., ::-1]
+    return top, None if payload is None else payload.reshape(shape)[..., ::-1]

@@ -3,12 +3,15 @@
 Functionally the algorithm ranks canonical keys
 (:func:`repro.algorithms.keys.sort_keys`: each row's value code with its
 row, padded to a power of two with key 0, which ranks below every real
-row), runs the local-sort / merge / rebuild reduction
-(:mod:`repro.bitonic.operators`), and reads the top-k rows back from the
-surviving keys — exactly the oracle's rows, NaN last and lower row first
-on ties.  The execution trace models the SortReducer / BitonicReducer
-kernel pipeline (:mod:`repro.bitonic.kernels`) under the configured
-optimization flags, at the width of the input dtype.
+row), computes the output of the local-sort / merge / rebuild network
+(:func:`repro.bitonic.operators.reduce_topk`: its runs sorted, the paper's
+merge unchanged), and reads the top-k rows back from the surviving keys —
+exactly the oracle's rows, NaN last and lower row first on ties.  The
+execution trace carries the cost: it models the SortReducer /
+BitonicReducer kernel pipeline (:mod:`repro.bitonic.kernels`) step by
+step under the configured optimization flags, at the width of the input
+dtype.  :func:`repro.bitonic.operators.apply_step` remains the network's
+step-by-step reference.
 
 The key robustness property of Section 6.4 falls out of the construction:
 the network's comparison sequence is data-independent, so the trace — and

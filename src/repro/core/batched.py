@@ -11,12 +11,14 @@ The rows need not share a length, a k or a dtype.  Every row is padded to
 the tile's width, the next power of two of its longest row, with code 0
 past its length, which ranks below every real row; rows of any 32-bit dtype share the packed
 key layout (:func:`repro.algorithms.keys.layout`).  Functionally every row
-runs through the same tile-major kernel, on the same canonical keys, as the
+runs through the same reduction, on the same canonical keys, as the
 single-row algorithm (:func:`repro.bitonic.operators.reduce_topk` takes a
-``(rows, width)`` tile) at the largest k's network, and each row reads its
-own k-prefix, so each row's answer is the oracle's.  The execution trace is
-the single-row kernel pipeline at the tile's width with its traffic scaled
-by the row count (the launch count does not scale — the point of batching).
+``(rows, width)`` tile): it computes the network's output at the largest
+k's network, its runs sorted and the paper's merge unchanged, and each row
+reads its own k-prefix, so each row's answer is the oracle's.  The
+execution trace carries the cost: the single-row kernel pipeline at the
+tile's width with its traffic scaled by the row count (the launch count
+does not scale — the point of batching).
 """
 
 from __future__ import annotations
@@ -51,16 +53,6 @@ class RaggedRows(tuple):
     @property
     def shape(self) -> tuple[int, int]:
         return len(self), max(len(row) for row in self)
-
-
-def batched_reduce_topk(
-    matrix: np.ndarray, k: int, payload: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Reduce every row of ``matrix`` (power-of-two width) to its top-k;
-    ``payload`` is the second key."""
-    if matrix.ndim != 2:
-        raise InvalidParameterError("batched top-k expects a 2-D array")
-    return reduce_topk(matrix, k, payload)
 
 
 def batched_trace(
@@ -116,7 +108,7 @@ def batched_topk(
         network_k=network_k,
     ) as span:
         keys, columns = keycodec.tile_keys(rows, width)
-        top_keys, top_columns = batched_reduce_topk(keys, network_k, columns)
+        top_keys, top_columns = reduce_topk(keys, network_k, columns)
         top = keycodec.key_rows(top_keys, top_columns, max_k)
         if uniform:
             values, indices = np.take_along_axis(rows, top, axis=1), top

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batched import batched_reduce_topk, batched_topk
+from repro.bitonic.operators import reduce_topk
+from repro.core.batched import batched_topk
 from repro.errors import InvalidParameterError
 
 
@@ -17,12 +18,12 @@ class TestBatchedReduce:
     @pytest.mark.parametrize("rows,n,k", [(1, 64, 8), (16, 256, 16), (5, 32, 32)])
     def test_matches_per_row_sort(self, rows, n, k, rng):
         matrix = rng.random((rows, n)).astype(np.float32)
-        values, _ = batched_reduce_topk(matrix.copy(), k)
+        values, _ = reduce_topk(matrix.copy(), k)
         assert np.array_equal(values[:, :k], _oracle(matrix, k))
 
     def test_k_one(self, rng):
         matrix = rng.random((8, 128)).astype(np.float32)
-        values, _ = batched_reduce_topk(matrix.copy(), 1)
+        values, _ = reduce_topk(matrix.copy(), 1)
         assert np.array_equal(values[:, 0], matrix.max(axis=1))
 
     @given(
@@ -36,7 +37,7 @@ class TestBatchedReduce:
         n = 1 << n_exp
         k = 1 << int(generator.integers(0, n_exp + 1))
         matrix = generator.random((rows, n)).astype(np.float32)
-        values, _ = batched_reduce_topk(matrix.copy(), k)
+        values, _ = reduce_topk(matrix.copy(), k)
         assert np.array_equal(values[:, :k], _oracle(matrix, k))
 
 
