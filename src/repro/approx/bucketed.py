@@ -21,10 +21,11 @@ delegates; the merge then reads only the surviving groups' elements —
 ``b * khat * g`` instead of n — which is the pre-filter's global-traffic
 cut, recorded in the trace's counters and notes.
 
-Determinism: all selections are stable sorts on order-preserving codes
-with ties broken toward lower row indices, and the only randomness is the
-optional seeded bucket permutation — the same seed always yields the same
-answer.
+Determinism: every selection ranks order-preserving codes with ties broken
+toward lower row indices — a bucket's cut partitions to its khat-th code
+and sorts only the survivors, the merge is :func:`canonical_topk` — and the
+only randomness is the optional seeded bucket permutation: the same seed
+always yields the same answer.
 """
 
 from __future__ import annotations
@@ -62,28 +63,32 @@ _REGISTER_BUDGET = 64
 _ROW_ID_BYTES = 4
 
 
-def _bucket_topk_codes(
-    codes: np.ndarray, khat: int, buckets: int
-) -> np.ndarray:
+def _bucket_topk_codes(codes: np.ndarray, khat: int, buckets: int) -> np.ndarray:
     """Positions (into ``codes``) of each bucket's top-khat elements.
 
     Bucket j holds elements ``j, j + b, j + 2b, ...`` — the strided,
-    coalesced assignment.  Selection is a stable sort on complemented
-    codes, so ties keep the earlier (lower-index) element, matching the
-    exact algorithms' tie-breaking; padding always loses ties because it
-    occupies the final rows.
+    coalesced assignment.  Each bucket's complemented codes are laid out
+    as one row, a partition finds the row's keep-th smallest, and only the
+    survivors at or below it are sorted, on (bucket, code, step): the
+    bucketed analogue of :func:`canonical_topk`.  Ties keep the earlier
+    (lower-index) element, matching the exact algorithms' tie-breaking;
+    padding always loses ties because it occupies the final steps.  The
+    result is rank-major: every bucket's best, then every bucket's second.
     """
     n = len(codes)
     steps = math.ceil(n / buckets)
+    keep = min(khat, steps)
     pad = np.iinfo(codes.dtype).max
     inverted = np.full(steps * buckets, pad, dtype=codes.dtype)
     inverted[:n] = ~codes
-    matrix = inverted.reshape(steps, buckets)
-    keep = min(khat, steps)
-    order = np.argsort(matrix, axis=0, kind="stable")[:keep]
-    positions = (
-        order * buckets + np.arange(buckets, dtype=np.int64)[None, :]
-    ).ravel()
+    rows = np.ascontiguousarray(inverted.reshape(steps, buckets).T)
+    kth = np.partition(rows, keep - 1, axis=1)[:, keep - 1 : keep]
+    bucket, step = np.nonzero(rows <= kth)
+    order = np.lexsort((step, rows[bucket, step], bucket))
+    # Every bucket has at least ``keep`` survivors; take its first keep.
+    counts = np.bincount(bucket, minlength=buckets)
+    chosen = order[(np.cumsum(counts) - counts)[:, None] + np.arange(keep)].T
+    positions = (step[chosen] * buckets + bucket[chosen]).ravel()
     return positions[positions < n]
 
 
@@ -127,9 +132,7 @@ class ApproxBucketTopK(TopKAlgorithm):
 
     # -- execution --------------------------------------------------------
 
-    def run(
-        self, data: np.ndarray, k: int, model_n: int | None = None
-    ) -> TopKResult:
+    def run(self, data: np.ndarray, k: int, model_n: int | None = None) -> TopKResult:
         validate_topk_args(data, k)
         n = len(data)
         model = model_n or n
@@ -151,22 +154,16 @@ class ApproxBucketTopK(TopKAlgorithm):
                 or khat >= math.ceil(num_groups / min(buckets, num_groups))
             )
         else:
-            degenerate = (
-                buckets == 1 or khat >= k or khat >= math.ceil(n / buckets)
-            )
+            degenerate = buckets == 1 or khat >= k or khat >= math.ceil(n / buckets)
         if degenerate:
             return self._run_exact(data, k, model_n)
         if delegate:
             return self._run_delegate(
                 data, k, model, model_n, config, buckets, khat, delegate
             )
-        return self._run_bucketed(
-            data, k, model, model_n, config, buckets, khat
-        )
+        return self._run_bucketed(data, k, model, model_n, config, buckets, khat)
 
-    def _run_exact(
-        self, data: np.ndarray, k: int, model_n: int | None
-    ) -> TopKResult:
+    def _run_exact(self, data: np.ndarray, k: int, model_n: int | None) -> TopKResult:
         """Degenerate configurations (one bucket, khat >= k or >= bucket
         capacity) select everything — run the exact algorithm outright.
 
@@ -176,17 +173,13 @@ class ApproxBucketTopK(TopKAlgorithm):
         injection stays live — the launches are real device activity.
         """
         with obs.suspended():
-            exact = BitonicTopK(self.device, self.flags).run(
-                data, k, model_n=model_n
-            )
+            exact = BitonicTopK(self.device, self.flags).run(data, k, model_n=model_n)
         trace = exact.trace
         trace.notes["approx.expected_recall"] = 1.0
         trace.notes["approx.exact_degenerate"] = 1.0
         trace.notes["approx.global_bytes_saved"] = 0.0
         self._publish(1.0, 0.0)
-        return self._result(
-            exact.values, exact.indices, trace, k, len(data), model_n
-        )
+        return self._result(exact.values, exact.indices, trace, k, len(data), model_n)
 
     def _run_bucketed(
         self,
@@ -242,9 +235,7 @@ class ApproxBucketTopK(TopKAlgorithm):
         delegates = group_delegates(data, delegate)
         effective_buckets = min(buckets, len(delegates))
         if config.seed is not None:
-            perm = np.random.default_rng(config.seed).permutation(
-                len(delegates)
-            )
+            perm = np.random.default_rng(config.seed).permutation(len(delegates))
             scan_delegates = delegates[perm]
         else:
             perm = None
@@ -257,9 +248,7 @@ class ApproxBucketTopK(TopKAlgorithm):
             buckets=effective_buckets,
             khat=khat,
         ) as phase:
-            positions = _bucket_topk_codes(
-                scan_delegates, khat, effective_buckets
-            )
+            positions = _bucket_topk_codes(scan_delegates, khat, effective_buckets)
             groups = perm[positions] if perm is not None else positions
             members = group_members(n, groups, delegate)
             phase.set(surviving_groups=len(groups), candidates=len(members))
@@ -267,7 +256,12 @@ class ApproxBucketTopK(TopKAlgorithm):
 
         recall = delegate_expected_recall(model, k, config)
         trace, saved = self._delegate_trace(
-            model, k, data.dtype.itemsize, config, effective_buckets, khat,
+            model,
+            k,
+            data.dtype.itemsize,
+            config,
+            effective_buckets,
+            khat,
             delegate,
         )
         self._annotate(trace, config, recall, saved, effective_buckets, khat, k)
@@ -297,9 +291,7 @@ class ApproxBucketTopK(TopKAlgorithm):
         registers = khat * max(1, width // 4) + _REGISTER_OVERHEAD
         return BlockResources(
             threads=256,
-            registers_per_thread=min(
-                registers, self.device.registers_per_thread_limit
-            ),
+            registers_per_thread=min(registers, self.device.registers_per_thread_limit),
         )
 
     def _bucketed_trace(
@@ -317,9 +309,7 @@ class ApproxBucketTopK(TopKAlgorithm):
         candidates = buckets * khat
         scan.add_global_write(float(candidates) * (width + _ROW_ID_BYTES))
         scan.compute_ops = float(model)
-        inserts = _estimate_inserts(
-            model, buckets, khat, self._sorted_penalty(config)
-        )
+        inserts = _estimate_inserts(model, buckets, khat, self._sorted_penalty(config))
         # Register-list semantics of Appendix A: every insert rescans the
         # khat-entry buffer for the whole warp.
         scan.divergent_iterations = inserts * khat
@@ -328,9 +318,7 @@ class ApproxBucketTopK(TopKAlgorithm):
         if spill > 0.0:
             scan.add_global_read(inserts * spill * khat * width)
             scan.add_global_write(inserts * spill * width)
-        scan.occupancy = occupancy(
-            self.device, self._scan_resources(khat, width)
-        )
+        scan.occupancy = occupancy(self.device, self._scan_resources(khat, width))
         trace.notes["approx.scan_inserts"] = inserts
 
         trace.extend(
@@ -365,9 +353,7 @@ class ApproxBucketTopK(TopKAlgorithm):
             model_groups, buckets, khat, self._sorted_penalty(config)
         )
         scan.divergent_iterations = inserts * khat
-        scan.occupancy = occupancy(
-            self.device, self._scan_resources(khat, width)
-        )
+        scan.occupancy = occupancy(self.device, self._scan_resources(khat, width))
         trace.notes["approx.scan_inserts"] = inserts
 
         merge_input = min(model, buckets * khat * delegate)

@@ -10,15 +10,13 @@ the bench later verifies against :func:`~repro.approx.recall.measured_recall`).
 
 :func:`degraded_config` answers both by delegating to the cost model's
 recall-constrained search (:func:`repro.costmodel.approx_model.choose_config`)
-and memoizing the result: scheduling decisions happen once per dispatch
-cycle, so the same (shape, target) pair must not re-pay the config sweep
-every cycle.  The cache key is everything the search reads — the same
-discipline as the serving plan cache.
+which is memoized on everything it reads: scheduling decisions happen
+once per dispatch cycle, so the same (shape, target) pair must not re-pay
+the config sweep every cycle.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,10 +39,6 @@ class DegradeChoice:
     predicted_seconds: float
 
 
-_CACHE: dict[tuple, DegradeChoice | None] = {}
-_CACHE_LOCK = threading.Lock()
-
-
 def degraded_config(
     n: int,
     k: int,
@@ -61,8 +55,8 @@ def degraded_config(
     the planner only picks the approximate operator when a feasible
     config exists *and* beats every exact algorithm).
 
-    Memoized on ``(n, k, target, dtype, device, profile)``; safe to call
-    from every dispatch cycle.
+    The search is memoized on ``(n, k, target, dtype, device, profile)``;
+    safe to call from every dispatch cycle.
     """
     if n < 1 or k < 1 or k > n:
         raise InvalidParameterError(
@@ -72,32 +66,20 @@ def degraded_config(
         raise InvalidParameterError(
             f"recall_target must be in (0, 1], got {recall_target}"
         )
-    device = device or get_device()
-    dtype = np.dtype(dtype)
-    key = (n, k, recall_target, str(dtype), device.name, profile.name)
-    with _CACHE_LOCK:
-        if key in _CACHE:
-            return _CACHE[key]
-    # The search is pure (cost models never read payloads), so concurrent
-    # misses computing it twice is wasteful but harmless.
     from repro.costmodel.approx_model import choose_config
 
-    found = choose_config(n, k, recall_target, dtype, device, profile)
-    choice = (
-        DegradeChoice(
-            config=found[0],
-            expected_recall=found[2],
-            predicted_seconds=found[1],
-        )
-        if found is not None
-        else None
+    found = choose_config(
+        n, k, recall_target, np.dtype(dtype), device or get_device(), profile
     )
-    with _CACHE_LOCK:
-        _CACHE[key] = choice
-    return choice
+    if found is None:
+        return None
+    return DegradeChoice(
+        config=found[0], expected_recall=found[2], predicted_seconds=found[1]
+    )
 
 
 def clear_cache() -> None:
     """Drop every memoized lookup (tests and device-profile changes)."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
+    from repro.costmodel.approx_model import choose_config
+
+    choose_config.cache_clear()

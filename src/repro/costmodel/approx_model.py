@@ -11,11 +11,13 @@ The model also owns the planner's configuration search
 (:func:`choose_config`): among power-of-two bucket counts and small
 oversampling factors it returns the cheapest configuration whose analytic
 expected recall (:func:`repro.approx.recall.expected_recall`) meets the
-caller's target, or None when only the exact algorithms can.
+caller's target, or None when only the exact algorithms can.  The search
+is a pure function of its arguments, so it is memoized.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.bitonic.kernels import build_trace
 from repro.bitonic.network import next_pow2
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.costmodel.base import UNIFORM_FLOAT, CostModel, WorkloadProfile
+from repro.gpu import faults
 from repro.gpu.occupancy import register_spill_fraction
 
 #: Mirror of the operator's scan-kernel register accounting.
@@ -37,6 +40,9 @@ _ROW_ID_BYTES = 4
 #: merge network shapes friendly and the search tiny).
 _BUCKET_CANDIDATES = tuple(1 << i for i in range(0, 13))
 _OVERSAMPLE_CANDIDATES = (1, 2, 3, 4)
+
+#: Distinct (n, k, recall target, dtype, device, profile) searches kept.
+CONFIG_CACHE_SIZE = 1024
 
 
 class ApproxTopKModel(CostModel):
@@ -131,6 +137,7 @@ class ApproxTopKModel(CostModel):
         return total
 
 
+@functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)
 def choose_config(
     n: int,
     k: int,
@@ -145,6 +152,10 @@ def choose_config(
     no searched configuration is genuinely approximate (non-degenerate)
     and meets the target — the planner then stays exact.  A target of 1.0
     always returns None: only the exact algorithms guarantee it.
+
+    The search prices models, which is host-side math, so it runs with
+    fault injection suspended; it is pure and therefore memoized (the
+    returned tuple and its frozen config are shared by every caller).
     """
     if not 0.0 < recall_target <= 1.0:
         raise ValueError(
@@ -171,7 +182,8 @@ def choose_config(
             if recall < recall_target:
                 continue
             model = ApproxTopKModel(device, config)
-            seconds = model.predict_seconds(n, k, dtype, profile)
+            with faults.suspended():
+                seconds = model.predict_seconds(n, k, dtype, profile)
             if best is None or seconds < best[1]:
                 best = (config, seconds, recall)
     return best

@@ -604,10 +604,14 @@ class QueryExecutor:
             )
         group_column = query.group_by[0]
         mask = self._filter_mask(query)
-        keys = self.table.column(group_column)[mask]
-        groups, inverse, counts = np.unique(
-            keys, return_inverse=True, return_counts=True
-        )
+        keys, codes = self.table.factorized(group_column)
+        codes = codes[mask]
+        counts = np.bincount(codes, minlength=len(keys))
+        present = np.flatnonzero(counts)
+        groups, counts = keys[present], counts[present]
+        dense = np.zeros(len(keys), dtype=np.intp)
+        dense[present] = np.arange(len(present))
+        inverse = dense[codes]
 
         aggregates: dict[str, np.ndarray] = {}
         for item in aggregate_items:

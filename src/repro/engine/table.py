@@ -18,11 +18,19 @@ from repro.errors import InvalidParameterError
 
 @dataclass
 class Table:
-    """An immutable-by-convention columnar table."""
+    """An immutable-by-convention columnar table.
+
+    GROUP BY columns are factorized once per table (:meth:`factorized`)
+    and the result is kept on the table, so a column mutated in place
+    after its first GROUP BY is not seen; register a new table instead.
+    """
 
     name: str
     columns: dict[str, np.ndarray]
     dictionaries: dict[str, list[str]] = field(default_factory=dict)
+    _factorized: dict[str, tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.columns:
@@ -53,6 +61,15 @@ class Table:
             raise InvalidParameterError(
                 f"table {self.name!r} has no column {name!r}; columns: {known}"
             ) from None
+
+    def factorized(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted distinct values of a column and each row's dense
+        code into them (``np.unique(column, return_inverse=True)``, so
+        NaN keys collapse into one group), computed once per table."""
+        if name not in self._factorized:
+            keys, codes = np.unique(self.column(name), return_inverse=True)
+            self._factorized[name] = (keys, codes.reshape(-1))
+        return self._factorized[name]
 
     def is_string_column(self, name: str) -> bool:
         return name in self.dictionaries

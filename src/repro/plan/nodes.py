@@ -90,12 +90,19 @@ class PlanNode:
 
         Two plans fingerprint identically iff they compute the same thing
         the same way; cost annotations never perturb the digest, so a
-        re-costed plan still hits the same cache entry.
+        re-costed plan still hits the same cache entry.  A frozen node's
+        digest never changes, so it is computed once and kept on the
+        instance, outside the dataclass fields (``==``, ``hash`` and
+        :meth:`to_dict` do not see it).
         """
-        canonical = json.dumps(
-            self._identity_tree(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        digest = self.__dict__.get("_fingerprint")
+        if digest is None:
+            canonical = json.dumps(
+                self._identity_tree(), sort_keys=True, separators=(",", ":")
+            )
+            digest = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+            object.__setattr__(self, "_fingerprint", digest)
+        return digest
 
     def _identity_tree(self) -> dict:
         tree = self.identity()

@@ -7,7 +7,10 @@ import pytest
 from repro.core.planner import TopKPlanner
 from repro.core.topk import topk
 from repro.costmodel import ApproxTopKModel, choose_config
+from repro.engine.session import Session
+from repro.engine.twitter import generate_tweets
 from repro.errors import InvalidParameterError
+from repro.gpu.device import get_device, list_devices
 
 
 class TestExactTarget:
@@ -41,9 +44,7 @@ class TestRelaxedTarget:
         # The approximate plan leads the ranking only because it is
         # predicted faster than the best exact plan.
         exact_best = min(
-            seconds
-            for name, seconds in choice.candidates
-            if name != "approx-bucket"
+            seconds for name, seconds in choice.candidates if name != "approx-bucket"
         )
         assert choice.predicted_seconds < exact_best
 
@@ -100,3 +101,32 @@ class TestApproxModel:
         # systematic underestimation is expected, gross divergence is not.
         assert predicted_ms <= measured_ms
         assert measured_ms / predicted_ms < 2.0
+
+
+class TestConfigSearchMemo:
+    @pytest.mark.parametrize("device_name", list_devices())
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_memoized_search_equals_the_search(self, device_name, dtype):
+        device = get_device(device_name)
+        for n in (1 << 12, 1 << 17, 1 << 24):
+            for k in (8, 50, 256):
+                for recall in (0.5, 0.9, 0.99, 1.0):
+                    args = (n, k, recall, np.dtype(dtype), device)
+                    # The first call may search, the second is a hit.
+                    assert choose_config(*args) == choose_config.__wrapped__(*args)
+                    assert choose_config(*args) == choose_config.__wrapped__(*args)
+
+    def test_repeated_approx_query_searches_once(self, device):
+        session = Session(device)
+        session.register(generate_tweets(1 << 12, seed=4))
+        query = (
+            "SELECT id FROM tweets ORDER BY likes_count DESC LIMIT 40 "
+            "APPROX_TOPK(0.9)"
+        )
+        choose_config.cache_clear()
+        first = session.sql(query, model_rows=3_000_000)
+        second = session.sql(query, model_rows=3_000_000)
+        assert choose_config.cache_info().misses == 1
+        assert choose_config.cache_info().hits >= 1
+        assert first.columns["id"].tobytes() == second.columns["id"].tobytes()
+        assert first.simulated_ms() == second.simulated_ms()

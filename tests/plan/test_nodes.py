@@ -65,11 +65,22 @@ class TestFingerprint:
         assert a.fingerprint() == b.fingerprint()
         assert a.fingerprint() != c.fingerprint()
 
+    def test_computed_once_and_invisible_to_identity(self):
+        import dataclasses
+
+        plan, fresh = scan_topk(), scan_topk()
+        before = (plan.to_dict(), hash(plan))
+        digest = plan.fingerprint()
+        assert plan.fingerprint() is digest
+        assert plan == fresh and hash(plan) == before[1] == hash(fresh)
+        assert plan.to_dict() == before[0] == fresh.to_dict()
+        assert "_fingerprint" not in repr(plan)
+        changed = dataclasses.replace(plan, k=9)
+        assert changed.fingerprint() == scan_topk(k=9).fingerprint() != digest
+
     def test_request_fingerprint_covers_every_input(self):
         base = request_fingerprint(1024, 8, "float32", "uniform-float", "gpu")
-        assert base == request_fingerprint(
-            1024, 8, "float32", "uniform-float", "gpu"
-        )
+        assert base == request_fingerprint(1024, 8, "float32", "uniform-float", "gpu")
         for other in [
             request_fingerprint(2048, 8, "float32", "uniform-float", "gpu"),
             request_fingerprint(1024, 9, "float32", "uniform-float", "gpu"),
@@ -140,9 +151,7 @@ class TestFallback:
 
 class TestRendering:
     def test_render_shows_every_node_and_costs(self):
-        tree = build_fallback(
-            [("bitonic", 1.5e-3)], n=1024, k=8, terminal_cpu=True
-        )
+        tree = build_fallback([("bitonic", 1.5e-3)], n=1024, k=8, terminal_cpu=True)
         text = tree.render()
         assert "Fallback" in text
         assert "algorithm=bitonic" in text
@@ -229,6 +238,4 @@ class TestBinding:
 
 class TestNetworkK:
     def test_padded_width(self):
-        assert [network_k(k) for k in (1, 2, 3, 8, 9, 1024)] == [
-            1, 2, 4, 8, 16, 1024,
-        ]
+        assert [network_k(k) for k in (1, 2, 3, 8, 9, 1024)] == [1, 2, 4, 8, 16, 1024]
