@@ -1,7 +1,8 @@
 """Ablation: the paper's future-work directions — hybrid and adaptive top-k.
 
 * **Hybrid CPU+GPU** (conclusion: "hybrid solutions could either involve
-  multiple devices"): a cost-model-balanced split should finish before
+  multiple devices"): a sharded device group with a CPU shard, its rows
+  weighted by each device's modeled throughput, should finish before
   either device alone.
 * **Adaptive selection** (conclusion: "as well as hybrids of the presented
   algorithms"): sniffing a sample protects against the adversarial cases
@@ -14,10 +15,11 @@ from repro.bench.report import Figure, record_figure
 from repro.bitonic.topk import BitonicTopK
 from repro.cpu.pq_topk import HandPqTopK
 from repro.core.planner import TopKPlanner
+from repro.cpu.spec import I7_6900
 from repro.data.distributions import bucket_killer, increasing, uniform_floats
 from repro.gpu.device import get_device
 from repro.hybrid.adaptive import AdaptiveTopK
-from repro.hybrid.cpu_gpu import HybridTopK
+from repro.sharding import ShardedTopK
 
 MODEL_N = 1 << 29
 K = 64
@@ -39,7 +41,8 @@ def test_hybrid_and_adaptive(benchmark, functional_n):
     devices = figure.add_series("uniform")
     gpu = BitonicTopK(device).run(data, K, model_n=MODEL_N)
     cpu = HandPqTopK(device).run(data, K, model_n=MODEL_N)
-    hybrid = HybridTopK(device).run(data, K, model_n=MODEL_N)
+    group = ShardedTopK(devices=[device, I7_6900], inner="bitonic")
+    hybrid = group.run(data, K, model_n=MODEL_N)
     devices.add("gpu-only", gpu.simulated_ms(device))
     devices.add("cpu-only", cpu.simulated_ms(device))
     devices.add("hybrid", hybrid.simulated_ms(device))
@@ -73,4 +76,4 @@ def test_hybrid_and_adaptive(benchmark, functional_n):
             <= adaptive_points[f"{label}-static"] * 1.3
         )
 
-    benchmark(lambda: HybridTopK(device).run(data, K))
+    benchmark(lambda: group.run(data, K))

@@ -6,7 +6,8 @@ requests in the introduction):
 
 1. out-of-core top-k streaming a 32 GiB input through the 12 GiB card with
    transfer/compute overlap;
-2. a hybrid CPU+GPU split balanced by the cost models;
+2. a hybrid CPU+GPU split: a sharded device group with a CPU entry,
+   its rows weighted by each device's modeled throughput;
 3. adaptive algorithm selection that sniffs a sample and dodges every
    adversarial distribution;
 4. batched per-row top-k with a single fused launch pipeline.
@@ -18,10 +19,13 @@ Run with::
 
 import numpy as np
 
-from repro import AdaptiveTopK, HybridTopK, batched_topk, chunked_topk
+from repro import AdaptiveTopK, batched_topk, chunked_topk
+from repro import observability as obs
 from repro.core.chunked import ChunkedTopK
+from repro.cpu.spec import I7_6900
 from repro.data.distributions import bucket_killer, increasing, uniform_floats
 from repro.gpu.device import get_device
+from repro.sharding import ShardedTopK
 
 FUNCTIONAL_N = 1 << 18
 
@@ -46,14 +50,18 @@ def out_of_core() -> None:
 
 def hybrid() -> None:
     print("2) hybrid CPU+GPU split (top-64 of 2^29 floats)")
-    runner = HybridTopK()
-    split = runner.plan_split(1 << 29, 64, np.dtype(np.float32))
-    print(f"   GPU share: {split.gpu_fraction:.1%}  "
-          f"(GPU {split.gpu_seconds * 1e3:.1f} ms, "
-          f"CPU {split.cpu_seconds * 1e3:.1f} ms, "
-          f"makespan {split.makespan * 1e3:.1f} ms)")
-    result = runner.run(uniform_floats(FUNCTIONAL_N), 64, model_n=1 << 29)
-    print(f"   hybrid simulated total: {result.simulated_ms():.1f} ms\n")
+    group = [get_device(), I7_6900]  # devices[0], the GPU, coordinates
+    data = uniform_floats(FUNCTIONAL_N)
+    observation = obs.Observation(obs.Tracer(), None)
+    with observation.activate():
+        result = ShardedTopK(devices=group, inner="bitonic").run(
+            data, 64, model_n=1 << 29
+        )
+    for device, span in zip(group, observation.tracer.spans("shard")):
+        rows = span.attributes["rows"]
+        print(f"   {device.name:>16}: {rows / len(data):6.1%} of the rows, "
+              f"{span.attributes['simulated_ms']:.1f} ms")
+    print(f"   group simulated total: {result.simulated_ms():.1f} ms\n")
 
 
 def adaptive() -> None:

@@ -38,7 +38,6 @@ from repro.core.filtered import percentile, topk_where
 from repro.core.planner import PlanChoice, TopKPlanner
 from repro.core.topk import bottomk, topk
 from repro.hybrid.adaptive import AdaptiveTopK
-from repro.hybrid.cpu_gpu import HybridTopK
 from repro.errors import (
     DeviceLostError,
     FaultError,
@@ -73,7 +72,6 @@ __all__ = [
     "percentile",
     "topk_where",
     "AdaptiveTopK",
-    "HybridTopK",
     "DeviceLostError",
     "FaultError",
     "InvalidParameterError",

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro import observability as obs
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
-from repro.algorithms.keys import canonical_topk, encode
 from repro.algorithms.registry import create
 from repro.bitonic.network import next_pow2
 from repro.bitonic.topk import BitonicTopK
@@ -105,9 +104,7 @@ class ChunkedTopK:
             overlap=self.overlap,
         )
 
-    def run(
-        self, data: np.ndarray, k: int, model_n: int | None = None
-    ) -> TopKResult:
+    def run(self, data: np.ndarray, k: int, model_n: int | None = None) -> TopKResult:
         """Compute the exact top-k of ``data`` through the chunk pipeline."""
         validate_topk_args(data, k)
         n = len(data)
@@ -138,9 +135,7 @@ class ChunkedTopK:
             # to avoid double-counting their kernels.
             transfers = TransferRetries()
             with obs.suspended():
-                for chunk_index, start in enumerate(
-                    range(0, n, functional_chunk)
-                ):
+                for chunk_index, start in enumerate(range(0, n, functional_chunk)):
                     chunk = data[start : start + functional_chunk]
                     chunk_k = min(k, len(chunk))
                     # Stage the chunk over PCIe.
@@ -148,9 +143,13 @@ class ChunkedTopK:
                     result = algorithm.run(chunk, chunk_k)
                     candidate_values.append(result.values)
                     candidate_rows.append(result.indices + start)
-            values = np.concatenate(candidate_values)
-            rows = np.concatenate(candidate_rows)
-            order = canonical_topk(encode(values), rows, k)
+            from repro.sharding.merge import merge_topk
+
+            values, rows = merge_topk(
+                np.concatenate(candidate_values),
+                np.concatenate(candidate_rows),
+                k,
+            )
 
             trace = ExecutionTrace()
             pipeline = trace.launch("chunk-pipeline")
@@ -165,8 +164,8 @@ class ChunkedTopK:
 
             span.set(simulated_ms=record_trace(trace, self.device))
         return TopKResult(
-            values=values[order].copy(),
-            indices=rows[order].copy(),
+            values=values,
+            indices=rows,
             trace=trace,
             algorithm=f"chunked-{self.algorithm_name}",
             k=k,

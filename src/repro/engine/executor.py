@@ -701,7 +701,9 @@ class QueryExecutor:
             num_groups, -np.inf if item.aggregate == "max" else np.inf
         )
         operator = np.maximum if item.aggregate == "max" else np.minimum
-        operator.at(extreme, inverse, values)
+        # A NaN value makes its group's extreme NaN, as intended.
+        with np.errstate(invalid="ignore"):
+            operator.at(extreme, inverse, values)
         return extreme
 
     def _group_rank(

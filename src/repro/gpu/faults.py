@@ -24,8 +24,8 @@ installed — the same zero-overhead discipline as
   :class:`~repro.gpu.transfer.TransferRetries`.
 * ``"device-launch"``    — per-shard launch admission in
   :class:`~repro.sharding.ShardedTopK` (detail = ``"shard#<index>"``,
-  ``"shard#<index>:redistribute"`` for a recovery piece) and the GPU
-  half of :class:`~repro.hybrid.HybridTopK`.
+  ``"shard#<index>:redistribute"`` for a recovery piece), GPU shards
+  only: a CPU shard has no simulated device to lose.
 * ``"result-transfer"``  — the D2H copy of a finished result in the
   resilient executor.
 * ``"shared-memory-read"`` / ``"global-memory-read"`` — value-filter sites

@@ -1,17 +1,15 @@
-"""Hybrid and adaptive top-k — the paper's stated future-work directions.
+"""Adaptive top-k — one of the paper's stated future-work directions.
 
-Two extensions beyond the paper's evaluated scope (its conclusion calls
-out both): splitting one query across CPU and GPU, and adapting the
-algorithm choice to the observed data distribution.
+An extension beyond the paper's evaluated scope (its conclusion calls it
+out): adapting the algorithm choice to the observed data distribution.
+The conclusion's other direction, splitting one query across CPU and GPU,
+is a device group with a CPU entry in :class:`repro.sharding.ShardedTopK`.
 """
 
 from repro.hybrid.adaptive import AdaptiveTopK, SampleStatistics, measure_sample
-from repro.hybrid.cpu_gpu import HybridSplit, HybridTopK
 
 __all__ = [
     "AdaptiveTopK",
     "SampleStatistics",
     "measure_sample",
-    "HybridSplit",
-    "HybridTopK",
 ]

@@ -67,9 +67,7 @@ __all__ = [
 ]
 
 _TRACER: ContextVar[Tracer | None] = ContextVar("repro_tracer", default=None)
-_METRICS: ContextVar[MetricsRegistry | None] = ContextVar(
-    "repro_metrics", default=None
-)
+_METRICS: ContextVar[MetricsRegistry | None] = ContextVar("repro_metrics", default=None)
 
 
 @dataclass

@@ -30,7 +30,11 @@ its trace is priced, on ``devices[i]``, and ``devices[0]`` coordinates.
 Mixed groups split rows in proportion to each device's modeled
 throughput, so finish times equalize and a slower card still helps;
 identical devices take the balanced split without consulting any cost
-model.
+model.  A group entry may also be a :class:`~repro.cpu.spec.CpuSpec`
+(the paper's closing "hybrid solutions" direction): that shard runs the
+hand-optimized heap, weighs its memory-bound scan rate, is priced on the
+coordinator, and — having no simulated device to lose — passes no
+``"device-launch"`` fault point.  The coordinator must be a GPU.
 
 Each shard answers with its *inner kernel* (the planner's winner at
 per-shard scale) on its slice, and the same run's trace is what the
@@ -55,6 +59,8 @@ import numpy as np
 from repro import observability as obs
 from repro.algorithms.base import TopKAlgorithm, TopKResult, validate_topk_args
 from repro.algorithms.registry import create
+from repro.cpu.pq_topk import HandPqTopK
+from repro.cpu.spec import CpuSpec
 from repro.errors import DeviceLostError, InvalidParameterError
 from repro.gpu import faults
 from repro.gpu.counters import ExecutionTrace
@@ -96,8 +102,9 @@ class ShardedTopK(TopKAlgorithm):
     """Partition-parallel top-k across N simulated devices.
 
     ``devices`` names the group explicitly and then fixes both the
-    coordinator (``devices[0]``) and the shard count (``len(devices)``);
-    without it the group is ``shards`` copies of ``device``.
+    coordinator (``devices[0]``, a GPU) and the shard count
+    (``len(devices)``); without it the group is ``shards`` copies of
+    ``device``.  Entries after the first may be CPUs.
     """
 
     name = "sharded"
@@ -108,11 +115,15 @@ class ShardedTopK(TopKAlgorithm):
         shards: int = DEFAULT_SHARDS,
         inner: str | None = None,
         flags=None,
-        devices: list[DeviceSpec] | None = None,
+        devices: list[DeviceSpec | CpuSpec] | None = None,
     ):
         if devices is not None:
             if not devices:
                 raise InvalidParameterError("a device group needs a device")
+            if isinstance(devices[0], CpuSpec):
+                raise InvalidParameterError(
+                    "devices[0] prices the gather and merge and must be a GPU"
+                )
             device, shards = devices[0], len(devices)
         super().__init__(device)
         self.shards = _validate_shards(shards)
@@ -122,9 +133,7 @@ class ShardedTopK(TopKAlgorithm):
         self.inner = inner
         self.flags = flags
 
-    def run(
-        self, data: np.ndarray, k: int, model_n: int | None = None
-    ) -> TopKResult:
+    def run(self, data: np.ndarray, k: int, model_n: int | None = None) -> TopKResult:
         validate_topk_args(data, k)
         n = len(data)
         model = model_n or n
@@ -132,9 +141,7 @@ class ShardedTopK(TopKAlgorithm):
         # input degrades to fewer effective shards instead of erroring.
         shards = min(self.shards, n)
         shard_model = max(1, -(-model // shards))
-        inner_name = self._resolve_inner(
-            shard_model, min(k, n // shards), data.dtype
-        )
+        inner_name = self._resolve_inner(shard_model, min(k, n // shards), data.dtype)
         ranges = partition_ranges(
             n,
             shards,
@@ -148,7 +155,7 @@ class ShardedTopK(TopKAlgorithm):
         alive: list[tuple[int, int, int]] = []
         for index, (start, stop) in enumerate(ranges):
             try:
-                faults.fault_point("device-launch", f"shard#{index}")
+                self._admit(index, f"shard#{index}")
             except DeviceLostError:
                 lost.append((index, start, stop))
             else:
@@ -167,7 +174,12 @@ class ShardedTopK(TopKAlgorithm):
         recompute_seconds = 0.0
         if lost:
             recovered, redistributed, recompute_seconds = self._redistribute(
-                data, k, model, n, inner_name, lost,
+                data,
+                k,
+                model,
+                n,
+                inner_name,
+                lost,
                 [index for index, _, _ in alive],
             )
             runs.extend(recovered)
@@ -177,8 +189,15 @@ class ShardedTopK(TopKAlgorithm):
         merged_values, merged_rows = merge_topk(values, rows, k)
 
         trace = self._build_trace(
-            data, k, model, shards, primary, lost, redistributed,
-            recompute_seconds, len(values),
+            data,
+            k,
+            model,
+            shards,
+            primary,
+            lost,
+            redistributed,
+            recompute_seconds,
+            len(values),
         )
         self._observe(shards, runs, lost)
         return self._result(
@@ -204,16 +223,24 @@ class ShardedTopK(TopKAlgorithm):
             )
         return plan.algorithm
 
-    def _make_inner(self, name: str, device: DeviceSpec) -> TopKAlgorithm:
+    def _make_inner(self, name: str, device: DeviceSpec | CpuSpec) -> TopKAlgorithm:
+        if isinstance(device, CpuSpec):
+            return HandPqTopK(self.device, device)
         if name == "bitonic" and self.flags is not None:
             from repro.bitonic.topk import BitonicTopK
 
             return BitonicTopK(device, self.flags)
         return create(name, device)
 
+    def _admit(self, index: int, detail: str) -> None:
+        """Launch admission for shard ``index``: a GPU's launch may be
+        lost; a CPU has no simulated device to lose."""
+        if not isinstance(self.devices[index], CpuSpec):
+            faults.fault_point("device-launch", detail)
+
     @staticmethod
     def _throughput(
-        devices: tuple[DeviceSpec, ...],
+        devices: tuple[DeviceSpec | CpuSpec, ...],
         inner_name: str,
         shard_model: int,
         k: int,
@@ -223,7 +250,9 @@ class ShardedTopK(TopKAlgorithm):
         None for a homogeneous group (which then needs no cost model).
 
         The inner kernel's Section 7 model prices the shard; a kernel
-        without one falls back to the planner's best prediction."""
+        without one falls back to the planner's best prediction.  A CPU
+        streams its shard at memory bandwidth (the heap's uniform-data
+        regime)."""
         if len(set(devices)) == 1:
             return None
         from repro.core.planner import TopKPlanner
@@ -234,10 +263,11 @@ class ShardedTopK(TopKAlgorithm):
         throughput = []
         with obs.suspended(), faults.suspended():
             for device in devices:
+                if isinstance(device, CpuSpec):
+                    throughput.append(device.memory_bandwidth / dtype.itemsize)
+                    continue
                 model = base_model_for(inner_name, device)
-                if model is not None and model.supports(
-                    shard_model, local_k, dtype
-                ):
+                if model is not None and model.supports(shard_model, local_k, dtype):
                     seconds = model.predict_seconds(shard_model, local_k, dtype)
                 else:
                     plan = TopKPlanner(device).choose(shard_model, local_k, dtype)
@@ -270,6 +300,8 @@ class ShardedTopK(TopKAlgorithm):
             device = self.devices[index]
             inner = self._make_inner(inner_name, device)
             result = inner.run(slice_, local_k, model_n=shard_model)
+            if isinstance(device, CpuSpec):
+                device = self.device  # a CPU shard is priced on devices[0]
             return ShardRun(
                 index=index,
                 start=start,
@@ -322,17 +354,13 @@ class ShardedTopK(TopKAlgorithm):
             target = alive[rotation % len(alive)]
             rotation += 1
             try:
-                faults.fault_point(
-                    "device-launch", f"shard#{target}:redistribute"
-                )
+                self._admit(target, f"shard#{target}:redistribute")
             except DeviceLostError:
                 alive.remove(target)
                 pending.append((piece_start, piece_stop))
                 continue
             assignments.append((target, piece_start, piece_stop))
-        recovered = self._run_shards(
-            data, k, model, n, inner_name, assignments
-        )
+        recovered = self._run_shards(data, k, model, n, inner_name, assignments)
         per_target: dict[int, float] = {}
         for run in recovered:
             per_target[run.index] = per_target.get(run.index, 0.0) + run.seconds

@@ -191,6 +191,19 @@ class TestGroupByFactorized:
         assert second["g"].tolist() == [7, 8, 9]
         assert second["n"].tolist() == [1, 2, 1]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("aggregate", ["MIN", "MAX"])
+    def test_nan_extremes_do_not_warn(self, device, aggregate):
+        table = make_table(
+            "t", {"g": np.array([0, 0, 1]), "v": np.array([1.0, np.nan, 2.0])}
+        )
+        result = QueryExecutor(table, device).sql(
+            f"SELECT g, {aggregate}(v) AS x FROM t GROUP BY g"
+        )
+        got = _by_key(result)
+        assert np.isnan(got["x"][0])
+        assert got["x"][1] == 2.0
+
     def test_factorization_is_cached_per_table(self):
         table = _grouped_table(np.float64)
         keys, codes = table.factorized("g")

@@ -77,9 +77,7 @@ class TestChromeTrace:
         events = document["traceEvents"]
         phases = {event["ph"] for event in events}
         assert phases == {"M", "X"}
-        names = {
-            event["args"]["name"] for event in events if event["ph"] == "M"
-        }
+        names = {event["args"]["name"] for event in events if event["ph"] == "M"}
         assert len(names) == 2  # wall-clock + simulated processes
 
     def test_every_span_appears_on_the_wall_track(self):

@@ -76,17 +76,18 @@ class TestKernelAccounting:
 
 
 class TestSchedulers:
-    def test_hybrid_accounts_once(self):
-        from repro.hybrid.cpu_gpu import HybridTopK
+    def test_cpu_gpu_group_accounts_once(self):
+        from repro.cpu.spec import I7_6900
+        from repro.gpu.device import get_device
+        from repro.sharding import ShardedTopK
 
         data = uniform_floats(1 << 13, seed=5)
         observation = obs.Observation(obs.Tracer(), obs.MetricsRegistry())
         with observation.activate():
-            result = HybridTopK().run(data, 32)
+            result = ShardedTopK(devices=[get_device(), I7_6900]).run(data, 32)
         assert observation.tracer.total_sim_ms("kernel") == pytest.approx(
             result.simulated_ms(), rel=1e-9
         )
-        assert observation.metrics.value("hybrid.gpu_fraction") is not None
 
     def test_chunked_accounts_once(self):
         from repro.core.chunked import chunked_topk
@@ -123,9 +124,7 @@ class TestSession:
         first = session.sql(
             "SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 10"
         )
-        second = session.sql(
-            "SELECT id FROM tweets ORDER BY likes_count DESC LIMIT 10"
-        )
+        second = session.sql("SELECT id FROM tweets ORDER BY likes_count DESC LIMIT 10")
         roots = session.tracer.roots
         assert [root.name for root in roots] == ["query", "query"]
         expected = first.simulated_ms() + second.simulated_ms()
@@ -171,8 +170,17 @@ class TestCli:
 
         out = tmp_path / "trace.jsonl"
         code = main(
-            ["trace", "--n", "4096", "--k", "8",
-             "--format", "jsonl", "--out", str(out)]
+            [
+                "trace",
+                "--n",
+                "4096",
+                "--k",
+                "8",
+                "--format",
+                "jsonl",
+                "--out",
+                str(out),
+            ]
         )
         assert code == 0
         restored, _ = obs.load_jsonl(out.read_text())

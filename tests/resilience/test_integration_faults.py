@@ -1,5 +1,5 @@
-"""Fault handling in the surrounding layers: hybrid CPU+GPU, chunked
-pipeline, query engine, planner degradation, CLI exit codes."""
+"""Fault handling in the surrounding layers: the CPU+GPU device group,
+chunked pipeline, query engine, planner degradation, CLI exit codes."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from repro.algorithms.base import reference_topk
 from repro.cli import main
 from repro.core.chunked import ChunkedTopK
 from repro.core.topk import topk
+from repro.cpu.spec import I7_6900
 from repro.engine.session import Session
 from repro.engine.twitter import generate_tweets
 from repro.errors import (
@@ -18,8 +19,9 @@ from repro.errors import (
     TransferError,
     exit_code,
 )
+from repro.gpu.device import get_device
 from repro.gpu.faults import FaultInjector, FaultPlan, inject
-from repro.hybrid.cpu_gpu import HybridTopK
+from repro.sharding import ShardedTopK
 
 
 @pytest.fixture
@@ -32,34 +34,65 @@ def expected(data):
     return reference_topk(data, 32)[0]
 
 
-class TestHybridCpuGpu:
-    def test_gpu_loss_absorbed_by_cpu(self, data, expected):
-        injector = FaultInjector(
-            seed=0,
-            plans=[
-                FaultPlan(
-                    site="device-launch", fault="device-lost", nth=1
-                )
-            ],
-        )
-        with inject(injector):
-            result = HybridTopK().run(data, 32)
-        assert np.array_equal(result.values, expected)
-        assert result.trace.notes["gpu_lost"] == 1.0
+def cpu_gpu_group():
+    """The hybrid split: the GPU coordinates and the CPU takes a shard."""
+    return ShardedTopK(devices=[get_device(), I7_6900], inner="bitonic")
+
+
+def first_launch_lost():
+    return FaultInjector(
+        seed=0,
+        plans=[FaultPlan(site="device-launch", fault="device-lost", nth=1)],
+    )
+
+
+class TestCpuGpuGroup:
+    def test_gpu_loss_absorbed_by_cpu(self, data):
+        with inject(first_launch_lost()):
+            result = cpu_gpu_group().run(data, 32)
+        values, rows = reference_topk(data, 32)
+        assert np.array_equal(result.values, values)
+        assert np.array_equal(result.indices, rows)
+        assert result.trace.notes["sharding.shards_lost"] == 1.0
 
     def test_gpu_loss_costs_simulated_time(self, data):
-        baseline = HybridTopK().run(data, 32).simulated_ms()
+        # At model scale the CPU rescanning the GPU's rows dominates. At
+        # the bare functional size the lost GPU shard's launch overhead
+        # outweighs its rows, and losing it prices below the clean run.
+        model_n = 1 << 29
+        baseline = cpu_gpu_group().run(data, 32, model_n=model_n)
+        with inject(first_launch_lost()):
+            degraded = cpu_gpu_group().run(data, 32, model_n=model_n)
+        assert degraded.simulated_ms() > baseline.simulated_ms()
+
+    def test_every_gpu_launch_lost_leaves_the_cpu(self, data):
         injector = FaultInjector(
             seed=0,
             plans=[
                 FaultPlan(
-                    site="device-launch", fault="device-lost", nth=1
+                    site="device-launch",
+                    fault="device-lost",
+                    probability=1.0,
+                    max_injections=None,
                 )
             ],
         )
         with inject(injector):
-            degraded = HybridTopK().run(data, 32)
-        assert degraded.simulated_ms() > baseline
+            result = cpu_gpu_group().run(data, 32)
+        values, rows = reference_topk(data, 32)
+        assert np.array_equal(result.values, values)
+        assert np.array_equal(result.indices, rows)
+        # The CPU shard (shard#1) has no launch to lose.
+        assert [detail for _, detail, _ in injector.schedule()] == ["shard#0"]
+
+    @pytest.mark.parametrize(
+        "group",
+        [[I7_6900, get_device()], [I7_6900, I7_6900]],
+        ids=["cpu-first", "all-cpu"],
+    )
+    def test_cpu_coordinator_rejected(self, group):
+        with pytest.raises(InvalidParameterError):
+            ShardedTopK(devices=group)
 
 
 class TestChunkedPipeline:
@@ -146,10 +179,7 @@ class TestEngine:
 
     def test_negative_limit_rejected(self, session):
         with pytest.raises(InvalidParameterError):
-            session.sql(
-                "SELECT id FROM tweets ORDER BY retweet_count DESC "
-                "LIMIT -1"
-            )
+            session.sql("SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT -1")
 
     def test_bad_model_rows_rejected(self, session):
         with pytest.raises(InvalidParameterError):

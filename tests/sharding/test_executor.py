@@ -7,6 +7,9 @@ import pytest
 
 from repro import observability as obs
 from repro.algorithms.base import reference_topk
+from repro.bitonic.topk import BitonicTopK
+from repro.cpu.pq_topk import HandPqTopK
+from repro.cpu.spec import I7_6900
 from repro.errors import InvalidParameterError
 from repro.gpu.device import get_device
 from repro.gpu.timing import trace_time
@@ -137,9 +140,7 @@ class TestObservability:
     def test_per_shard_spans_and_metrics(self, rng, device):
         observation = obs.Observation(obs.Tracer(), obs.MetricsRegistry())
         with observation.activate():
-            ShardedTopK(device, shards=4).run(
-                rng.random(4096).astype(np.float32), 32
-            )
+            ShardedTopK(device, shards=4).run(rng.random(4096).astype(np.float32), 32)
         shard_spans = observation.tracer.spans("shard")
         assert [span.name for span in shard_spans] == [
             "shard:0", "shard:1", "shard:2", "shard:3"
@@ -151,16 +152,13 @@ class TestObservability:
     def test_shard_spans_nest_under_the_algorithm_span(self, rng, device):
         observation = obs.Observation(obs.Tracer(), obs.MetricsRegistry())
         with observation.activate():
-            ShardedTopK(device, shards=2).run(
-                rng.random(1024).astype(np.float32), 16
-            )
+            ShardedTopK(device, shards=2).run(rng.random(1024).astype(np.float32), 16)
         algorithm = [
             span
             for span in observation.tracer.spans("algorithm")
             if span.name == "algorithm:sharded"
         ]
         assert len(algorithm) == 1
-
 
     def test_accounts_each_kernel_once(self, rng):
         # Per-shard inner kernels appear only as shard spans; the kernel
@@ -180,11 +178,15 @@ class TestObservability:
 MODEL_N = 1 << 29
 
 
-def shard_spans(devices, data, k=64):
+#: The hybrid CPU+GPU group: the GPU coordinates, the CPU takes a shard.
+CPU_GPU = [get_device("titan-x-maxwell"), I7_6900]
+
+
+def shard_spans(devices, data, k=64, inner=None):
     """(result, [(rows, simulated_ms) per shard]) for one observed run."""
     observation = obs.Observation(obs.Tracer(), None)
     with observation.activate():
-        result = ShardedTopK(devices=devices).run(data, k, model_n=MODEL_N)
+        result = ShardedTopK(devices=devices, inner=inner).run(data, k, model_n=MODEL_N)
     spans = [
         (span.attributes["rows"], span.attributes["simulated_ms"])
         for span in observation.tracer.spans("shard")
@@ -193,14 +195,73 @@ def shard_spans(devices, data, k=64):
 
 
 class TestDeviceGroups:
-    @pytest.mark.parametrize("size", [1, 2, 4])
-    def test_group_matches_reference(self, rng, size):
-        group = [get_device("v100"), get_device("titan-x-maxwell")] * 2
-        data = rng.random(30000).astype(np.float32)
-        result = ShardedTopK(devices=group[:size]).run(data, 64)
-        values, indices = reference_topk(data, 64)
+    @pytest.mark.parametrize(
+        "group, n, k",
+        [
+            ([get_device("v100")], 30000, 64),
+            ([get_device("v100"), get_device("titan-x-maxwell")], 30000, 64),
+            ([get_device("v100"), get_device("titan-x-maxwell")] * 2, 30000, 64),
+            (CPU_GPU, 30000, 64),
+            (CPU_GPU, 10, 2),
+            (CPU_GPU, 1000, 32),
+            (CPU_GPU, 50000, 300),
+        ],
+        ids=["1", "2", "4", "cpu-gpu", "cpu-gpu-10", "cpu-gpu-1000", "cpu-gpu-50000"],
+    )
+    def test_group_matches_reference(self, rng, group, n, k):
+        data = rng.random(n).astype(np.float32)
+        result = ShardedTopK(devices=group).run(data, k)
+        values, indices = reference_topk(data, k)
         np.testing.assert_array_equal(result.values, values)
         np.testing.assert_array_equal(result.indices, indices)
+
+    def test_winners_on_the_cpu_shard_survive(self, rng):
+        """The global top-k landing entirely in the CPU's range must
+        surface through the merge."""
+        data = rng.random(10000).astype(np.float32)
+        data[-50:] += 5.0  # the tail belongs to the CPU shard
+        result = ShardedTopK(devices=CPU_GPU, inner="bitonic").run(data, 50)
+        assert (result.indices >= 9950).all()
+
+    @pytest.mark.parametrize("k", [32, 1000])
+    def test_cpu_gpu_ties_and_nan_take_the_oracles_rows(self, rng, k):
+        # Duplicates on both sides of the split go to the lower row; NaN
+        # ranks last.
+        data = rng.integers(0, 4, 10000).astype(np.float32)
+        data[rng.choice(10000, 9500, replace=False)] = np.nan
+        result = ShardedTopK(devices=CPU_GPU, inner="bitonic").run(data, k)
+        values, indices = reference_topk(data, k)
+        np.testing.assert_array_equal(result.indices, indices)
+        np.testing.assert_array_equal(result.values, values)
+
+    def test_cpu_gpu_group_prices_the_kernels_it_runs(self, rng, device):
+        """The concurrent phase is the slower shard's own trace, so the
+        group never reports less than its GPU shard costs, and the split
+        still beats either device alone."""
+        data = rng.random(1 << 16).astype(np.float32)
+        result, spans = shard_spans(CPU_GPU, data, inner="bitonic")
+        (gpu_rows, _), (cpu_rows, _) = spans
+        assert gpu_rows > cpu_rows
+        gpu_shard = BitonicTopK(device).run(
+            data[:gpu_rows], 64, model_n=round(MODEL_N * gpu_rows / len(data))
+        )
+        cpu_shard = HandPqTopK(device, I7_6900).run(
+            data[gpu_rows:], 64, model_n=round(MODEL_N * cpu_rows / len(data))
+        )
+        # The CPU shard is priced on the coordinator, devices[0].
+        gpu_seconds = trace_time(gpu_shard.trace, device).total
+        cpu_seconds = trace_time(cpu_shard.trace, device).total
+        (concurrent,) = [
+            kernel
+            for kernel in result.trace.kernels
+            if kernel.name == CONCURRENT_KERNEL
+        ]
+        assert concurrent.fixed_seconds == max(gpu_seconds, cpu_seconds)
+        assert result.simulated_ms() >= gpu_seconds * 1e3
+        gpu_only = BitonicTopK(device).run(data, 64, model_n=MODEL_N)
+        cpu_only = HandPqTopK(device, I7_6900).run(data, 64, model_n=MODEL_N)
+        assert result.simulated_ms() < gpu_only.simulated_ms()
+        assert result.simulated_ms() < cpu_only.simulated_ms()
 
     def test_identical_devices_take_the_balanced_split(self, rng, device):
         data = rng.random(1 << 12).astype(np.float32)
