@@ -23,7 +23,6 @@ from repro.approx.config import (
     ApproxConfig,
     default_config,
 )
-from repro.approx.degrade import DegradeChoice, clear_cache, degraded_config
 from repro.approx.delegate import (
     group_delegates,
     group_members,
@@ -42,10 +41,7 @@ __all__ = [
     "run_approx_benchmark",
     "DEFAULT_DELEGATE_GROUP",
     "DEFAULT_OVERSAMPLE",
-    "DegradeChoice",
-    "clear_cache",
     "default_config",
-    "degraded_config",
     "delegate_expected_recall",
     "expected_recall",
     "group_delegates",

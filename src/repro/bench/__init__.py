@@ -1,4 +1,9 @@
-"""Benchmark harness: figure experiments, shared CLI plumbing, reporting."""
+"""Benchmark harness: figure experiments, the bench registry, reporting.
+
+Every bench is one :data:`~repro.bench.common.BENCHES` entry run as
+``python -m repro <name>``; the paper's figures are ``python -m repro
+figure-bench --figure fig11a`` (``--figure all`` runs every one).
+"""
 
 from repro.bench.common import (
     BASELINE_TOLERANCE,

@@ -1,12 +1,13 @@
 """The bench registry and the one contract every bench command follows.
 
-:data:`BENCHES` maps each benchmark front door (``serve-bench``,
-``approx-bench``, ``shard-bench``, ``slo-bench``, ``radix-bench``,
-``stream-bench``, ``calibrate``) to its runner, the workload its flags
-fill, its flags and its committed baseline. ``python -m repro`` builds
-one subcommand per entry and runs them all through one command path;
-CI's ``smoke`` matrix has one entry per bench, and a tier-1 test pins
-the two together. Every bench follows one contract:
+:data:`BENCHES` maps each benchmark front door (``figure-bench``,
+``serve-bench``, ``approx-bench``, ``shard-bench``, ``slo-bench``,
+``radix-bench``, ``stream-bench``, ``calibrate``) to its runner, the
+workload its flags fill, its flags and its committed baseline.
+``python -m repro`` builds one subcommand per entry and runs them all
+through one command path; CI's ``smoke`` matrix has one entry per
+bench, and a tier-1 test pins the two together. Every bench follows
+one contract:
 
 * ``--json`` / ``--out`` — print the report as JSON (or its rendered
   text) and optionally write the JSON artifact to a path CI uploads;
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from repro.bench.figures import REGISTRY
 from repro.costmodel.base import PROFILES
 from repro.errors import InvalidParameterError
 from repro.gpu.device import list_devices
@@ -281,6 +283,23 @@ _FUNCTIONAL_CAP = flag(
 )
 
 BENCHES = (
+    Bench(
+        "figure-bench",
+        help="regenerate figures of the paper's evaluation (Section 6) as "
+             "simulated ms on the modeled device",
+        module="repro.bench.figure_bench",
+        runner="run_figure_bench",
+        workload="FigureWorkload",
+        baseline="benchmarks/baselines/BENCH_baseline.json",
+        flags=(
+            flag("--figure", action="append", dest="figures", default=None,
+                 choices=[*REGISTRY, "all"],
+                 help="figure id to run; repeatable; all runs every figure "
+                      "(default: fig08 abl43 q4)"),
+            DEVICE,
+            REPORT,
+        ),
+    ),
     Bench(
         "serve-bench",
         help="replay a synthetic workload through the serving layer and "

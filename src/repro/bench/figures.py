@@ -562,8 +562,9 @@ def figure_18(
     return figure
 
 
-#: Figure id -> zero-argument experiment function (defaults applied).
-REGISTRY: dict[str, Callable[[], Figure]] = {
+#: Figure id -> experiment function (defaults applied; ``device`` is the
+#: one keyword every entry takes).
+REGISTRY: dict[str, Callable[..., Figure]] = {
     "fig08": figure_08,
     "abl43": ablation_43,
     "fig11a": figure_11a,
@@ -573,8 +574,8 @@ REGISTRY: dict[str, Callable[[], Figure]] = {
     "fig12b": figure_12b,
     "fig13": figure_13,
     "fig14": figure_14,
-    "fig15a": lambda: figure_15(sorted_input=False),
-    "fig15b": lambda: figure_15(sorted_input=True),
+    "fig15a": lambda device=None: figure_15(sorted_input=False, device=device),
+    "fig15b": lambda device=None: figure_15(sorted_input=True, device=device),
     "fig16a": figure_16a,
     "fig16b": figure_16b,
     "q3": query_3,

@@ -14,6 +14,7 @@ Examples::
         LIMIT 50" --rows 262144
     python -m repro profile --n 1048576 --k 32
     python -m repro chaos --seed 0 --trials 50
+    python -m repro figure-bench --figure fig11a --figure abl43
     python -m repro serve-bench --queries 1000 --shapes 4 --n 512 --k 8
     python -m repro approx-bench --baseline benchmarks/baselines/BENCH_approx.json
     python -m repro shard-bench --baseline benchmarks/baselines/BENCH_sharding.json

@@ -24,10 +24,10 @@ import numpy as np
 
 from repro.approx.config import ApproxConfig
 from repro.approx.recall import delegate_expected_recall, expected_recall
-from repro.bitonic.kernels import build_trace
 from repro.bitonic.network import next_pow2
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.costmodel.base import UNIFORM_FLOAT, CostModel, WorkloadProfile
+from repro.costmodel.bitonic_model import bitonic_seconds
 from repro.gpu import faults
 from repro.gpu.occupancy import register_spill_fraction
 
@@ -86,7 +86,7 @@ class ApproxTopKModel(CostModel):
             buckets == 1 or khat >= k or khat >= math.ceil(n / buckets)
         )
         if degenerate:
-            return self._merge_seconds(n, k, width)
+            return bitonic_seconds(n, next_pow2(k), width, self.flags, self.device)
 
         # Scan kernel: one full read, candidate write, divergent inserts.
         if delegate:
@@ -121,20 +121,13 @@ class ApproxTopKModel(CostModel):
             merge_input = min(n, buckets * khat * delegate)
         else:
             merge_input = buckets * khat
-        return scan_time + self._merge_seconds(
-            max(merge_input, 1), k, width + _ROW_ID_BYTES
+        return scan_time + bitonic_seconds(
+            max(merge_input, 1),
+            next_pow2(k),
+            width + _ROW_ID_BYTES,
+            self.flags,
+            self.device,
         )
-
-    def _merge_seconds(self, n: int, k: int, width: int) -> float:
-        trace = build_trace(n, next_pow2(k), width, self.flags, self.device)
-        total = 0.0
-        for kernel in trace.kernels:
-            global_time = kernel.global_bytes / self.device.global_bandwidth
-            shared_time = (
-                kernel.shared_bytes_weighted / self.device.shared_bandwidth
-            )
-            total += max(global_time, shared_time)
-        return total
 
 
 @functools.lru_cache(maxsize=CONFIG_CACHE_SIZE)

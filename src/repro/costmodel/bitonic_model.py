@@ -14,10 +14,11 @@ BitonicReducers over the geometrically shrinking data.
 
 Like the paper's model it uses peak bandwidths and ignores launch
 overheads, so it underestimates the measured times (Figure 17).
+:func:`bitonic_seconds` is that sum, written once: the approximate and
+streaming models price their bitonic kernels with it too.
 """
 
 from __future__ import annotations
-
 
 import numpy as np
 
@@ -25,6 +26,40 @@ from repro.bitonic.kernels import build_trace
 from repro.bitonic.network import next_pow2
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.costmodel.base import UNIFORM_FLOAT, CostModel, WorkloadProfile
+
+
+def kernel_terms(
+    n: int,
+    network_k: int,
+    width: int,
+    flags: OptimizationFlags,
+    device,
+) -> list[tuple[str, float, float]]:
+    """(name, T_g, T_k) of each fused kernel of the network's trace."""
+    trace = build_trace(n, network_k, width, flags, device)
+    return [
+        (
+            kernel.name,
+            kernel.global_bytes / device.global_bandwidth,
+            kernel.shared_bytes_weighted / device.shared_bandwidth,
+        )
+        for kernel in trace.kernels
+    ]
+
+
+def bitonic_seconds(
+    n: int,
+    network_k: int,
+    width: int,
+    flags: OptimizationFlags,
+    device,
+) -> float:
+    """The Section 7.2 price: the sum over kernels of max(T_g, T_k)."""
+    terms = kernel_terms(n, network_k, width, flags, device)
+    total = 0.0
+    for _, global_time, shared_time in terms:
+        total += max(global_time, shared_time)
+    return total
 
 
 class BitonicModel(CostModel):
@@ -46,30 +81,12 @@ class BitonicModel(CostModel):
         dtype: np.dtype = np.dtype(np.float32),
         profile: WorkloadProfile = UNIFORM_FLOAT,
     ) -> float:
-        dtype = np.dtype(dtype)
-        network_k = next_pow2(k)
-        trace = build_trace(n, network_k, dtype.itemsize, self.flags, self.device)
-        total = 0.0
-        for kernel in trace.kernels:
-            global_time = kernel.global_bytes / self.device.global_bandwidth
-            shared_time = kernel.shared_bytes_weighted / self.device.shared_bandwidth
-            total += max(global_time, shared_time)
-        return total
+        width = np.dtype(dtype).itemsize
+        return bitonic_seconds(n, next_pow2(k), width, self.flags, self.device)
 
     def kernel_breakdown(
         self, n: int, k: int, dtype: np.dtype = np.dtype(np.float32)
     ) -> list[tuple[str, float, float]]:
         """(name, T_g, T_k) per kernel — the Section 7.2 worked example."""
-        dtype = np.dtype(dtype)
-        network_k = next_pow2(k)
-        trace = build_trace(n, network_k, dtype.itemsize, self.flags, self.device)
-        breakdown = []
-        for kernel in trace.kernels:
-            breakdown.append(
-                (
-                    kernel.name,
-                    kernel.global_bytes / self.device.global_bandwidth,
-                    kernel.shared_bytes_weighted / self.device.shared_bandwidth,
-                )
-            )
-        return breakdown
+        width = np.dtype(dtype).itemsize
+        return kernel_terms(n, next_pow2(k), width, self.flags, self.device)

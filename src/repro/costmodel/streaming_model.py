@@ -31,10 +31,10 @@ import math
 
 import numpy as np
 
-from repro.bitonic.kernels import build_trace
 from repro.bitonic.network import next_pow2
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.costmodel.base import UNIFORM_FLOAT, CostModel, WorkloadProfile
+from repro.costmodel.bitonic_model import bitonic_seconds
 from repro.errors import InvalidParameterError
 
 #: Bytes per merged candidate: 4-byte rank value + 4-byte global row id
@@ -85,19 +85,8 @@ class StreamingModel(CostModel):
     # -- the two maintenance modes --------------------------------------
 
     def _bitonic_seconds(self, n: int, k: int, dtype: np.dtype) -> float:
-        network_k = next_pow2(k)
-        trace = build_trace(
-            max(n, 1), network_k, np.dtype(dtype).itemsize,
-            self.flags, self.device,
-        )
-        total = 0.0
-        for kernel in trace.kernels:
-            global_time = kernel.global_bytes / self.device.global_bandwidth
-            shared_time = (
-                kernel.shared_bytes_weighted / self.device.shared_bandwidth
-            )
-            total += max(global_time, shared_time)
-        return total
+        width = np.dtype(dtype).itemsize
+        return bitonic_seconds(max(n, 1), next_pow2(k), width, self.flags, self.device)
 
     def _merge_seconds(self, candidates: int) -> float:
         # The tick merge reads every live candidate and writes back the

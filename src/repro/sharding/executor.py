@@ -169,11 +169,10 @@ class ShardedTopK(TopKAlgorithm):
 
         # Phase 2: surviving shards compute concurrently in the pool.
         primary = self._run_shards(data, k, model, n, inner_name, alive)
-        runs = list(primary)
-        redistributed = 0
+        recovered: list[ShardRun] = []
         recompute_seconds = 0.0
         if lost:
-            recovered, redistributed, recompute_seconds = self._redistribute(
+            recovered, recompute_seconds = self._redistribute(
                 data,
                 k,
                 model,
@@ -182,7 +181,7 @@ class ShardedTopK(TopKAlgorithm):
                 lost,
                 [index for index, _, _ in alive],
             )
-            runs.extend(recovered)
+        runs = primary + recovered
 
         values = np.concatenate([run.values for run in runs])
         rows = np.concatenate([run.indices for run in runs])
@@ -195,7 +194,7 @@ class ShardedTopK(TopKAlgorithm):
             shards,
             primary,
             lost,
-            redistributed,
+            recovered,
             recompute_seconds,
             len(values),
         )
@@ -325,16 +324,15 @@ class ShardedTopK(TopKAlgorithm):
         inner_name: str,
         lost: list[tuple[int, int, int]],
         alive: list[int],
-    ) -> tuple[list[ShardRun], int, float]:
+    ) -> tuple[list[ShardRun], float]:
         """Split every lost shard's range across the survivors.
 
         Admission is sequential on the coordinator (deterministic fault
         schedule); the admitted pieces then compute in the pool.  A
         survivor lost mid-recovery re-queues its piece, so recovery
         tolerates cascading losses until no device remains.  Returns the
-        recovered runs, the piece count, and the recovery's recompute
-        seconds (the busiest survivor's extra work, which the trace
-        accounts).
+        recovered runs and the recovery's recompute seconds (the busiest
+        survivor's extra work, which the trace accounts).
         """
         pending: deque[tuple[int, int]] = deque()
         for _, start, stop in lost:
@@ -365,7 +363,7 @@ class ShardedTopK(TopKAlgorithm):
         for run in recovered:
             per_target[run.index] = per_target.get(run.index, 0.0) + run.seconds
         recompute = max(per_target.values(), default=0.0)
-        return recovered, len(recovered), recompute
+        return recovered, recompute
 
     # -- accounting -------------------------------------------------------
 
@@ -377,7 +375,7 @@ class ShardedTopK(TopKAlgorithm):
         shards: int,
         primary: list[ShardRun],
         lost: list[tuple[int, int, int]],
-        redistributed: int,
+        recovered: list[ShardRun],
         recompute_seconds: float,
         num_candidates: int,
     ) -> ExecutionTrace:
@@ -399,11 +397,16 @@ class ShardedTopK(TopKAlgorithm):
         concurrent = trace.launch(CONCURRENT_KERNEL)
         concurrent.fixed_seconds = max(run.seconds for run in primary)
         if lost:
-            lost_rows = sum(stop - start for _, start, stop in lost)
-            lost_bytes = float(model) * (lost_rows / n) * itemsize
+            # Only rows sent to a GPU cross PCIe; a CPU reads host memory.
+            moved_rows = sum(
+                run.stop - run.start
+                for run in recovered
+                if not isinstance(self.devices[run.index], CpuSpec)
+            )
+            moved_bytes = float(model) * (moved_rows / n) * itemsize
             redistribute = trace.launch(REDISTRIBUTE_KERNEL)
             redistribute.fixed_seconds = (
-                lost_bytes / self.device.pcie_bandwidth + recompute_seconds
+                moved_bytes / self.device.pcie_bandwidth + recompute_seconds
             )
         transfers = TransferRetries()
         transfers.cross(GATHER_KERNEL)
@@ -415,7 +418,7 @@ class ShardedTopK(TopKAlgorithm):
         transfers.charge(trace, self.name)
         trace.notes["sharding.shards"] = float(shards)
         trace.notes["sharding.shards_lost"] = float(len(lost))
-        trace.notes["sharding.redistributed"] = float(redistributed)
+        trace.notes["sharding.redistributed"] = float(len(recovered))
         trace.notes["sharding.max_shard_ms"] = concurrent.fixed_seconds * 1e3
         return trace
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.approx.degrade import degraded_config
+from repro.costmodel.approx_model import choose_config
 from repro.costmodel.base import UNIFORM_FLOAT, WorkloadProfile
 from repro.errors import DeadlineExceededError, ResourceExhaustedError
 from repro.gpu.device import DeviceSpec, get_device
@@ -169,24 +169,25 @@ class SloScheduler:
                 and request.recall_target >= 1.0
                 and projected_ms + self.ewma_service_ms > deadline
             ):
-                choice = degraded_config(
+                choice = choose_config(
                     len(request.data),
                     request.k,
                     self.policy.degraded_recall,
-                    dtype=request.data.dtype,
-                    device=self.device,
-                    profile=self.profile,
+                    request.data.dtype,
+                    self.device,
+                    self.profile,
                 )
                 if choice is not None:
+                    _, _, expected_recall = choice
                     request.recall_target = self.policy.degraded_recall
                     request.degraded = True
-                    request.expected_recall = choice.expected_recall
+                    request.expected_recall = expected_recall
                     self._decision(
                         DEGRADE,
                         request,
                         reason=(
                             f"projected finish past deadline; serving at "
-                            f"expected recall {choice.expected_recall:.4f}"
+                            f"expected recall {expected_recall:.4f}"
                         ),
                     )
             to_run.append(request)

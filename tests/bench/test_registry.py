@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from repro.bench import check_baseline
-from repro.bench.cli import main as bench_main
 from repro.bench.common import BASELINE_TOLERANCE, BENCHES
 from repro.cli import main
 from repro.errors import EXIT_CODES, InvalidParameterError
@@ -20,6 +19,7 @@ ROOT = Path(__file__).resolve().parents[2]
 
 #: Small workloads that keep each bench under a few seconds.
 FAST = {
+    "figure-bench": ["--figure", "abl43"],
     "serve-bench": ["--queries", "24", "--shapes", "2", "--n", "128",
                     "--k", "4"],
     "approx-bench": ["--n", "65536", "--k", "32", "--buckets", "0",
@@ -67,13 +67,6 @@ class TestRegistry:
         assert any(
             command in entry and gate in entry for entry in smoke_commands()
         ), f"no smoke matrix entry runs {command.strip()} {gate}"
-
-    def test_ci_matrix_runs_the_figure_gate(self):
-        assert any(
-            "python -m repro.bench --ci " in entry
-            and "--baseline benchmarks/baselines/BENCH_baseline.json" in entry
-            for entry in smoke_commands()
-        )
 
     @pytest.mark.parametrize("bench", WITH_BASELINE, ids=_ids)
     def test_baseline_is_a_report_of_the_bench(self, bench):
@@ -246,11 +239,3 @@ class TestTypedFileErrors:
         err = capsys.readouterr().err
         assert _errors(err, "error: InvalidParameterError: cannot load")
         assert "Traceback" not in err
-
-    def test_figure_gate_baseline_is_a_typed_error(self, tmp_path, capsys):
-        missing = tmp_path / "missing.json"
-        status = bench_main(["--ci", "--baseline", str(missing)])
-        assert status == EXIT_CODES[InvalidParameterError]
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: InvalidParameterError: cannot load")

@@ -4,10 +4,12 @@ chunked pipeline, query engine, planner degradation, CLI exit codes."""
 import numpy as np
 import pytest
 
+from repro import observability as obs
 from repro.algorithms.base import reference_topk
 from repro.cli import main
 from repro.core.chunked import ChunkedTopK
 from repro.core.topk import topk
+from repro.cpu.pq_topk import HandPqTopK
 from repro.cpu.spec import I7_6900
 from repro.engine.session import Session
 from repro.engine.twitter import generate_tweets
@@ -21,7 +23,9 @@ from repro.errors import (
 )
 from repro.gpu.device import get_device
 from repro.gpu.faults import FaultInjector, FaultPlan, inject
+from repro.gpu.timing import trace_time
 from repro.sharding import ShardedTopK
+from repro.sharding.executor import REDISTRIBUTE_KERNEL
 
 
 @pytest.fixture
@@ -64,6 +68,29 @@ class TestCpuGpuGroup:
         with inject(first_launch_lost()):
             degraded = cpu_gpu_group().run(data, 32, model_n=model_n)
         assert degraded.simulated_ms() > baseline.simulated_ms()
+
+    def test_rows_redistributed_to_the_cpu_cross_no_pcie(self, data):
+        # The CPU reads host memory, so taking over the lost GPU's rows
+        # costs its recompute alone.
+        model_n = 1 << 29
+        observation = obs.Observation(obs.Tracer(), None)
+        with inject(first_launch_lost()), observation.activate():
+            result = cpu_gpu_group().run(data, 32, model_n=model_n)
+        (gpu_rows,) = [
+            span.attributes["stop"]
+            for span in observation.tracer.spans("shard")
+            if span.attributes["start"] == 0
+        ]
+        recompute = HandPqTopK(get_device(), I7_6900).run(
+            data[:gpu_rows], 32, model_n=round(model_n * gpu_rows / len(data))
+        )
+        (redistribute,) = [
+            kernel
+            for kernel in result.trace.kernels
+            if kernel.name == REDISTRIBUTE_KERNEL
+        ]
+        seconds = trace_time(recompute.trace, get_device()).total
+        assert redistribute.fixed_seconds == seconds
 
     def test_every_gpu_launch_lost_leaves_the_cpu(self, data):
         injector = FaultInjector(

@@ -1,6 +1,8 @@
 """Tests for the top-level command line."""
 
+import pytest
 
+from repro.bench.figures import REGISTRY
 from repro.cli import main
 
 
@@ -115,7 +117,24 @@ class TestServeBenchCommand:
         assert payload["identical"] is True
 
 
+def status(argv: list[str]) -> int:
+    """``main``'s exit status, also where argparse exits itself."""
+    try:
+        return main(argv)
+    except SystemExit as exit:
+        return exit.code
+
+
 class TestDispatch:
-    def test_no_command_prints_help(self, capsys):
-        assert main([]) == 2
-        assert "topk" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv, code, stream, text",
+        [
+            ([], 2, "out", "topk"),
+            (["figure-bench", "--help"], 0, "out", ",".join(REGISTRY)),
+            (["figure-bench", "--figure", "fig99"], 2, "err", "fig99"),
+        ],
+        ids=["no-command", "figure-ids-in-help", "unknown-figure"],
+    )
+    def test_usage(self, argv, code, stream, text, capsys):
+        assert status(argv) == code
+        assert text in getattr(capsys.readouterr(), stream)
