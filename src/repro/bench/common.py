@@ -66,20 +66,22 @@ def drifted(
     return abs(measured - expected) > tolerance * max(abs(expected), 1e-9)
 
 
-def incomparable(baseline: dict, report_format: str, workload: dict) -> list[str]:
-    """Why ``baseline`` cannot gate this run, if it cannot (else ``[]``).
+def incomparable(baseline: dict, document: dict) -> list[str]:
+    """Why ``baseline`` cannot gate the run ``document``, if it cannot
+    (else ``[]``).
 
-    A baseline of another report format, or of another workload, has no
+    A baseline of another report format, workload or device has no
     numbers comparable with the run's; :func:`check_baseline` returns
     this problem alone before it compares any number.
     """
-    if baseline.get("format") != report_format:
-        return [f"baseline is not a {report_format} document"]
-    if baseline.get("workload") != workload:
-        return [
-            "baseline workload differs from the benchmarked workload: "
-            f"{baseline.get('workload')} vs {workload}"
-        ]
+    if baseline.get("format") != document["format"]:
+        return [f"baseline is not a {document['format']} document"]
+    for key in ("workload", "device"):
+        if baseline.get(key) != document.get(key):
+            return [
+                f"baseline {key} differs from the benchmarked {key}: "
+                f"{baseline.get(key)} vs {document.get(key)}"
+            ]
     return []
 
 
@@ -192,13 +194,13 @@ def check_baseline(report, baseline: dict) -> list[str]:
     ``to_dict()``; every number the report class lists in
     ``BASELINE_GATES`` is read out of both documents and held to its
     :class:`Gate` rule. Only deterministic numbers are gated, never wall
-    clock. A baseline of another format or workload is one problem
-    alone; a baseline point the report lacks is one problem, whichever
+    clock. A baseline of another format, workload or device is one
+    problem alone; a baseline point the report lacks is one problem, whichever
     gates read it. Exactness and the pass verdicts are not re-checked
     here: ``report.gates()`` fails the command on them.
     """
     document = report.to_dict()
-    problems = incomparable(baseline, document["format"], document["workload"])
+    problems = incomparable(baseline, document)
     if problems:
         return problems
     for gate in report.BASELINE_GATES:

@@ -23,7 +23,7 @@ from repro.bench.common import Gate
 from repro.bench.figures import REGISTRY
 from repro.bench.report import Figure, format_figure
 from repro.errors import InvalidParameterError
-from repro.gpu.device import DeviceSpec
+from repro.gpu.device import DeviceSpec, get_device
 
 #: JSON schema tag of a serialized report.
 REPORT_FORMAT = "repro-figure-bench"
@@ -54,6 +54,7 @@ class FigureBenchReport:
 
     workload: FigureWorkload
     figures: list[Figure]
+    device: str
 
     #: What a committed baseline holds: every point of every figure.
     BASELINE_GATES = (Gate("points[figure,series,x].value"),)
@@ -78,6 +79,7 @@ class FigureBenchReport:
         return {
             "format": REPORT_FORMAT,
             "workload": self.workload.to_dict(),
+            "device": self.device,
             "points": self.points(),
         }
 
@@ -92,4 +94,4 @@ def run_figure_bench(
     """Regenerate the workload's figures on ``device``."""
     workload = workload or FigureWorkload()
     figures = [REGISTRY[figure_id](device=device) for figure_id in workload.figures]
-    return FigureBenchReport(workload, figures)
+    return FigureBenchReport(workload, figures, (device or get_device()).name)

@@ -148,6 +148,8 @@ class QueryExecutor:
             raise InvalidParameterError(
                 f"LIMIT must be non-negative, got {query.limit}"
             )
+        if query.order_by is not None and query.limit is None:
+            raise UnsupportedQueryError("ORDER BY needs a LIMIT (top-k queries only)")
         if model_rows is not None and model_rows <= 0:
             raise InvalidParameterError(
                 f"model_rows must be positive, got {model_rows}"
@@ -162,7 +164,7 @@ class QueryExecutor:
         ) as span:
             if query.group_by:
                 result = self._execute_group_by(query, strategy, model)
-            elif query.order_by is not None and query.limit is not None:
+            elif query.order_by is not None:
                 result = self._execute_topk(query, strategy, model)
             else:
                 result = self._execute_scan(query, model)
@@ -628,7 +630,7 @@ class QueryExecutor:
                 terminal_cpu=True,
                 child=self._input_plan(query, model_rows),
             )
-        if query.order_by is not None and query.limit is not None:
+        if query.order_by is not None:
             rank = self._group_rank(query, groups, aggregates, group_column)
             if not query.order_desc:
                 rank = -rank

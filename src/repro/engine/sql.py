@@ -8,6 +8,10 @@ Grammar (case-insensitive keywords)::
                  [ORDER BY expression [ASC | DESC] (, expression [ASC | DESC])*]
                  [LIMIT integer]
                  [APPROX_TOPK '(' number ')']
+
+ORDER BY parses without LIMIT, but the executor answers top-k queries
+only and rejects it, after a scan or a GROUP BY, with
+:class:`~repro.errors.UnsupportedQueryError`.
     select    := expression [AS name]
                | COUNT([*]) [AS name]
                | (SUM | MIN | MAX | AVG) '(' expression ')' [AS name]

@@ -144,12 +144,15 @@ class CircuitBreaker:
         non-retryable errors (caller bugs, hard capacity limits) do not
         count.  ``error=None`` means the caller already classified the
         failure as a device fault (e.g. it observed the batcher's
-        fallback counters move) and is always counted.
+        fallback counters move) and is always counted.  A probe that
+        fails uncounted says nothing about the device: its slot is freed
+        for the next probe.
         """
+        if self.state == HALF_OPEN:
+            self._half_open_in_flight = max(0, self._half_open_in_flight - 1)
         if error is not None and not is_retryable(error):
             return
         if self.state == HALF_OPEN:
-            self._half_open_in_flight = max(0, self._half_open_in_flight - 1)
             self._open(now_ms)
             return
         self.consecutive_failures += 1

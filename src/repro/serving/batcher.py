@@ -319,6 +319,26 @@ class CrossQueryBatcher:
 
     # -- execution --------------------------------------------------------
 
+    def serve(self, requests: Sequence[ServingRequest]):
+        """Plan, group and execute ``requests``; yield each ``(group,
+        outcomes)``, or ``(group, error)`` for a group whose planning
+        (one request) or execution raised."""
+        planned = []
+        for request in requests:
+            try:
+                self.plan(request)
+            except Exception as error:  # noqa: BLE001 — handed to the caller
+                yield [request], error
+                continue
+            planned.append(request)
+        for group in self.group(planned):
+            try:
+                outcomes = self.execute(group)
+            except Exception as error:  # noqa: BLE001 — handed to the caller
+                yield group, error
+                continue
+            yield group, outcomes
+
     def execute(self, group: Sequence[ServingRequest]) -> list[QueryOutcome]:
         """Run one group — fused when it has more than one member."""
         injector = next(

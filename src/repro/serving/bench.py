@@ -105,6 +105,7 @@ class ServeBenchReport:
     identical: bool
     cache: dict
     batcher: dict
+    device: str
 
     #: What a committed baseline holds: both paths' simulated ms, the
     #: plan cache hit rate, and the fused-launch count (more launches than
@@ -146,6 +147,7 @@ class ServeBenchReport:
             "format": REPORT_FORMAT,
             "version": REPORT_VERSION,
             "workload": self.workload.to_dict(),
+            "device": self.device,
             "sequential": {
                 "wall_seconds": self.sequential.wall_seconds,
                 "queries_per_second": self.sequential.queries_per_second(queries),
@@ -280,4 +282,5 @@ def run_serving_benchmark(
         identical=_bit_equal(sequential, served),
         cache=cache_stats,
         batcher=batcher_stats,
+        device=device.name,
     )

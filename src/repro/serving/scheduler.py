@@ -55,6 +55,15 @@ from repro.serving.plan_cache import DEFAULT_CAPACITY, PlanCache
 DEFAULT_MAX_PENDING = 1024
 
 
+def check_capacity(pending: int, max_pending: int) -> None:
+    """The global admission bound of every serving door."""
+    if pending >= max_pending:
+        raise ResourceExhaustedError(
+            f"serving queue is full ({max_pending} queries pending); "
+            f"shedding load"
+        )
+
+
 class TopKServer:
     """Concurrent top-k serving on top of a :class:`~repro.engine.Session`.
 
@@ -218,26 +227,33 @@ class TopKServer:
         server is over its ``max_pending`` admission bound.
         """
         request = self._make_request(data, k, table, column, recall_target)
+        request.submitted_sim_ms = self._sim_now_ms()
+        return self._enqueue(request)
+
+    def _enqueue(self, request: ServingRequest) -> Future:
+        """Admit ``request`` under the lock and queue it for dispatch."""
         future: Future = Future()
         request.future = future
         request.submitted_wall = time.perf_counter()
-        request.submitted_sim_ms = self._sim_now_ms()
         with self._lock:
             if self._closed:
                 raise InvalidParameterError(
                     "cannot submit to a closed server"
                 )
-            if len(self._pending) + self._in_flight >= self.max_pending:
+            try:
+                self._admit(request)
+            except ResourceExhaustedError:
                 self.metrics.counter("serving.rejected").inc()
-                raise ResourceExhaustedError(
-                    f"serving queue is full ({self.max_pending} queries "
-                    f"pending); shedding load"
-                )
+                raise
             self._pending.append(request)
             self.metrics.counter("serving.submitted").inc()
             self.metrics.gauge("serving.queue_depth").set(len(self._pending))
             self._work_ready.notify()
         return future
+
+    def _admit(self, request: ServingRequest) -> None:
+        """Admission, under the lock: the global in-flight bound."""
+        check_capacity(len(self._pending) + self._in_flight, self.max_pending)
 
     def submit_many(self, requests) -> list[Future]:
         """Submit an iterable of ``(data, k)`` pairs; one Future each."""
@@ -331,13 +347,6 @@ class TopKServer:
                 request.queue_wait_sim_ms
             )
 
-    def _prepare(self, drained: list) -> list:
-        """Scheduling hook: order (and possibly shed or degrade) one
-        drained backlog before planning.  The base server is FIFO — the
-        backlog passes through untouched; the SLO server overrides this
-        with deadline-aware admission."""
-        return drained
-
     def _dispatch_loop(self) -> None:
         while True:
             with self._lock:
@@ -355,45 +364,36 @@ class TopKServer:
                 self.metrics.gauge("serving.queue_depth").set(0)
             try:
                 self._note_queue_wait(drained)
-                planned = []
-                for request in self._prepare(drained):
-                    # A planning failure (no feasible algorithm for the
-                    # shape) fails that query's future, never the thread.
-                    try:
-                        self.batcher.plan(request)
-                    except Exception as error:  # noqa: BLE001
-                        self.metrics.counter("serving.failed").inc()
-                        self._release(1)
-                        if request.future is not None:
-                            request.future.set_exception(error)
-                        continue
-                    planned.append(request)
-                for group in self.batcher.group(planned):
-                    self._run_group(group)
+                self._serve(drained)
             finally:
                 with self._lock:
                     self._in_flight = 0
                     self._dispatching = False
                     self._idle.notify_all()
 
+    def _serve(self, drained: list) -> None:
+        """Execute one drained backlog in arrival order, resolving every
+        future.  The SLO server overrides this with its dispatch cycle."""
+        for group, result in self.batcher.serve(drained):
+            self._resolve(group, result)
+
     def _release(self, count: int) -> None:
         """Free ``count`` slots; called before their futures resolve."""
         with self._lock:
             self._in_flight -= count
 
-    def _run_group(self, group) -> None:
-        try:
-            outcomes = self.batcher.execute(group)
-        except Exception as error:  # noqa: BLE001 — delivered via futures
+    def _resolve(self, group, result) -> None:
+        """Resolve ``group``'s futures with its outcomes, or fail them with
+        the exception that failed the group (never the thread)."""
+        self._release(len(group))
+        if isinstance(result, Exception):
             self.metrics.counter("serving.failed").inc(len(group))
-            self._release(len(group))
             for request in group:
                 if request.future is not None:
-                    request.future.set_exception(error)
+                    request.future.set_exception(result)
             return
         self.metrics.counter("serving.completed").inc(len(group))
-        self._release(len(group))
-        for request, outcome in zip(group, outcomes):
+        for request, outcome in zip(group, result):
             if request.future is not None:
                 request.future.set_result(outcome)
 

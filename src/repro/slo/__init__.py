@@ -12,11 +12,12 @@ trip a circuit breaker on repeatedly-faulting devices.
   generation over the twitter corpus;
 * :mod:`repro.slo.qos` — QoS classes and the :class:`SloPolicy`;
 * :mod:`repro.slo.scheduler` — the EDF + ladder decision core (and its
-  FIFO control arm), shared by both drivers;
+  FIFO control arm) and the one serving cycle both doors call:
+  admission, dispatch, settlement;
 * :mod:`repro.slo.simulator` — deterministic discrete-event serving
-  simulation in simulated time;
-* :mod:`repro.slo.server` — :class:`SloTopKServer`, the decision core
-  mounted on the threaded production server;
+  simulation in simulated time, one request per cycle;
+* :mod:`repro.slo.server` — :class:`SloTopKServer`, the cycle mounted on
+  the threaded production server, one drained backlog per cycle;
 * :mod:`repro.slo.bench` — the load sweep behind ``repro slo-bench``.
 
 See the SLO section of ``docs/serving.md`` for the ladder's contract.

@@ -49,14 +49,10 @@ DEFAULT_CLASS_MIX = (
 )
 
 
-def poisson_arrivals(
-    rate_per_ms: float, count: int, seed: int = 0
-) -> np.ndarray:
+def poisson_arrivals(rate_per_ms: float, count: int, seed: int = 0) -> np.ndarray:
     """Arrival timestamps (simulated ms) of a Poisson process."""
     if rate_per_ms <= 0:
-        raise InvalidParameterError(
-            f"rate_per_ms must be positive, got {rate_per_ms}"
-        )
+        raise InvalidParameterError(f"rate_per_ms must be positive, got {rate_per_ms}")
     if count < 1:
         raise InvalidParameterError(f"count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
@@ -81,15 +77,11 @@ def bursty_arrivals(
     ``mean_burst_run`` queries.
     """
     if rate_per_ms <= 0:
-        raise InvalidParameterError(
-            f"rate_per_ms must be positive, got {rate_per_ms}"
-        )
+        raise InvalidParameterError(f"rate_per_ms must be positive, got {rate_per_ms}")
     if count < 1:
         raise InvalidParameterError(f"count must be at least 1, got {count}")
     if burst_factor <= 1.0:
-        raise InvalidParameterError(
-            f"burst_factor must exceed 1, got {burst_factor}"
-        )
+        raise InvalidParameterError(f"burst_factor must exceed 1, got {burst_factor}")
     if not 0.0 < burst_fraction < 1.0:
         raise InvalidParameterError(
             f"burst_fraction must be in (0, 1), got {burst_fraction}"
@@ -100,7 +92,9 @@ def bursty_arrivals(
     # Solve the calm rate from the harmonic mean of per-query gap costs:
     #   f/(B·r) + (1-f)/r_calm = 1/r   =>   r_calm = (1-f)·B·r / (B-f)
     calm_rate = (
-        (1.0 - burst_fraction) * burst_factor * rate_per_ms
+        (1.0 - burst_fraction)
+        * burst_factor
+        * rate_per_ms
         / (burst_factor - burst_fraction)
     )
     burst_rate = burst_factor * rate_per_ms
@@ -115,9 +109,7 @@ def bursty_arrivals(
         rate = burst_rate if in_burst else calm_rate
         gaps[index] = rng.exponential(1.0 / rate)
         flip = rng.random()
-        in_burst = (
-            flip >= exit_prob if in_burst else flip < entry_prob
-        )
+        in_burst = flip >= exit_prob if in_burst else flip < entry_prob
     return np.cumsum(gaps)
 
 
@@ -172,8 +164,7 @@ class OpenLoopWorkload:
             )
         if self.process not in ARRIVAL_PROCESSES:
             raise InvalidParameterError(
-                f"unknown arrival process {self.process!r}; "
-                f"known: {ARRIVAL_PROCESSES}"
+                f"unknown arrival process {self.process!r}; known: {ARRIVAL_PROCESSES}"
             )
         if not 0 < self.n_min <= self.n_max <= self.rows:
             raise InvalidParameterError(
@@ -218,9 +209,7 @@ class OpenLoopWorkload:
         )
         names = [name for name, _ in self.class_mix]
         weights = np.asarray([weight for _, weight in self.class_mix])
-        classes = rng.choice(
-            len(names), size=self.queries, p=weights / weights.sum()
-        )
+        classes = rng.choice(len(names), size=self.queries, p=weights / weights.sum())
         offsets = np.floor(
             (self.rows - lengths) * rng.random(self.queries) ** OFFSET_SKEW
         ).astype(np.int64)

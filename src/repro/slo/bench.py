@@ -99,6 +99,7 @@ class SloBenchReport:
 
     workload: dict
     points: list[RatePoint]
+    device: str
 
     #: What a committed baseline holds: both arms' goodput at every rate
     #: and the SLO arm's gold-class p99 simulated latency (skipped at a
@@ -169,6 +170,7 @@ class SloBenchReport:
             "format": REPORT_FORMAT,
             "version": REPORT_VERSION,
             "workload": dict(self.workload),
+            "device": self.device,
             "rates": [point.rate for point in self.points],
             "dominates": self.dominates,
             "recall_honest": self.recall_honest,
@@ -285,4 +287,4 @@ def run_slo_benchmark(
             for key, value in workload.to_dict().items()
             if key != "rate_per_ms"
         }
-    return SloBenchReport(workload=workload_dict, points=points)
+    return SloBenchReport(workload_dict, points, device.name)

@@ -59,16 +59,28 @@ class QoSClass:
 #: workload (exact execution of one n≈40–65k query simulates ≈0.05 ms):
 #: gold gets headroom for ~8 queued exact queries, best-effort ~30.
 GOLD = QoSClass(
-    "gold", priority=0, deadline_ms=0.45, queue_budget=64,
-    degradable=False, sheddable=False,
+    "gold",
+    priority=0,
+    deadline_ms=0.45,
+    queue_budget=64,
+    degradable=False,
+    sheddable=False,
 )
 STANDARD = QoSClass(
-    "standard", priority=1, deadline_ms=0.90, queue_budget=48,
-    degradable=True, sheddable=False,
+    "standard",
+    priority=1,
+    deadline_ms=0.90,
+    queue_budget=48,
+    degradable=True,
+    sheddable=False,
 )
 BEST_EFFORT = QoSClass(
-    "best-effort", priority=2, deadline_ms=1.80, queue_budget=32,
-    degradable=True, sheddable=True,
+    "best-effort",
+    priority=2,
+    deadline_ms=1.80,
+    queue_budget=32,
+    degradable=True,
+    sheddable=True,
 )
 
 DEFAULT_CLASSES = (GOLD, STANDARD, BEST_EFFORT)
@@ -107,8 +119,7 @@ class SloPolicy:
             )
         if self.initial_service_ms <= 0:
             raise InvalidParameterError(
-                f"initial_service_ms must be positive, "
-                f"got {self.initial_service_ms}"
+                f"initial_service_ms must be positive, got {self.initial_service_ms}"
             )
 
     def class_named(self, name: str) -> QoSClass:
@@ -116,8 +127,7 @@ class SloPolicy:
             if qos.name == name:
                 return qos
         raise InvalidParameterError(
-            f"unknown QoS class {name!r}; "
-            f"known: {[qos.name for qos in self.classes]}"
+            f"unknown QoS class {name!r}; known: {[qos.name for qos in self.classes]}"
         )
 
 

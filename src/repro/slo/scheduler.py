@@ -1,14 +1,17 @@
 """Deadline-aware scheduling decisions: EDF, shedding, degradation.
 
 This module is the *decision core* of the SLO layer, deliberately split
-from execution: :class:`SloScheduler` looks at a drained backlog and a
-simulated clock and says, per query, which rung of the degradation
-ladder applies — run exact, run degraded, or shed — recording every
-choice as a :class:`Decision`.  Both drivers share it (the
-discrete-event :mod:`~repro.slo.simulator` and the threaded
-:class:`~repro.slo.server.SloTopKServer`), which is what makes the
-overload tests meaningful: identical traces produce identical decision
-logs because the logic literally is the same object.
+from execution: :class:`SloScheduler` looks at a backlog and a simulated
+clock and says, per query, which rung of the degradation ladder applies
+— run exact, run degraded, or shed — recording every choice as a
+:class:`Decision`.
+
+It is also the one serving cycle both doors call: admission
+(:meth:`SloScheduler.admit_request`), dispatch over (backlog, clock)
+(:meth:`SloScheduler.dispatch`) and settlement (:class:`Dispatch`).  The
+:mod:`~repro.slo.simulator` calls it once per executed request on its
+virtual clock (``limit=1``); :class:`~repro.slo.server.SloTopKServer`
+once per drained backlog (``limit=None``).
 
 The policy implemented:
 
@@ -24,6 +27,8 @@ The policy implemented:
    level — *when* the recall model finds a genuinely approximate
    configuration for the shape (otherwise degrading is a no-op and the
    query stays exact).
+4. **Break**: with the device circuit breaker open, the sheddable
+   queries about to run fail fast; the others run unreported.
 
 :class:`FifoScheduler` is the control arm: same interface, no reordering
 and no ladder, so benches can attribute goodput differences to the
@@ -39,6 +44,8 @@ from repro.costmodel.base import UNIFORM_FLOAT, WorkloadProfile
 from repro.errors import DeadlineExceededError, ResourceExhaustedError
 from repro.gpu.device import DeviceSpec, get_device
 from repro.observability.metrics import MetricsRegistry
+from repro.resilience.breaker import CircuitBreaker
+from repro.serving.scheduler import check_capacity
 from repro.slo.qos import DEFAULT_POLICY, SloPolicy
 
 #: Decision actions (the ladder, plus admission).
@@ -63,6 +70,40 @@ class Decision:
     n: int
     k: int
     reason: str = ""
+
+
+@dataclass
+class Dispatch:
+    """One dispatch cycle's verdict (see :meth:`SloScheduler.dispatch`)."""
+
+    scheduler: SloScheduler
+    #: Survivors to execute now; those past the cycle's limit, in EDF
+    #: order; and ``(request, decision, error)`` triples to fail.
+    run: list
+    rest: list
+    shed: list
+    #: The breaker that allowed this cycle and is owed one :meth:`record`.
+    breaker: CircuitBreaker | None = None
+    faulted: bool = False
+
+    def settle(self, group: list, outcomes: list, now_ms: float) -> list[bool]:
+        """Fold an executed group's per-query shares into the service
+        estimate; per request, did it meet its deadline at ``now_ms``?"""
+        for outcome in outcomes:
+            self.scheduler.observe_service(outcome.simulated_share_ms)
+            self.faulted = self.faulted or outcome.fell_back
+        return [now_ms <= request.deadline_ms for request in group]
+
+    def record(self, now_ms: float, error: BaseException | None = None) -> None:
+        """Report the cycle to the breaker that allowed it, once: a failure
+        if execution raised ``error`` or fell back, else a success."""
+        breaker, self.breaker = self.breaker, None
+        if breaker is None:
+            return
+        if error is not None or self.faulted:
+            breaker.record_failure(now_ms, error)
+        else:
+            breaker.record_success(now_ms)
 
 
 class SloScheduler:
@@ -98,24 +139,67 @@ class SloScheduler:
         queries get their RUN/DEGRADE/SHED decision at dispatch.
         """
         qos = self.policy.class_named(qos_name)
-        if queued_in_class >= qos.queue_budget:
-            decision = Decision(
-                REJECT,
-                qos.name,
-                n=0,
-                k=0,
-                reason=f"class queue budget {qos.queue_budget} exhausted",
-            )
-            self._record(decision)
-            return decision
-        return None
+        if queued_in_class < qos.queue_budget:
+            return None
+        reason = f"class queue budget {qos.queue_budget} exhausted"
+        return self._record(Decision(REJECT, qos.name, n=0, k=0, reason=reason))
 
     def rejection_error(self, decision: Decision) -> ResourceExhaustedError:
         return ResourceExhaustedError(
             f"{decision.qos} admission rejected: {decision.reason}"
         )
 
+    def admit_request(
+        self, request, queue, max_pending: int, in_flight: int = 0
+    ) -> None:
+        """The one admission step of both doors, run under their queue.
+
+        ``request`` may join ``queue`` (``in_flight`` more are executing)
+        within the global ``max_pending`` bound and its class's budget
+        (:meth:`admit`).  A refusal is logged as a REJECT decision and
+        raised as a typed :class:`~repro.errors.ResourceExhaustedError`.
+        """
+        try:
+            check_capacity(len(queue) + in_flight, max_pending)
+        except ResourceExhaustedError:
+            self._decision(REJECT, request, reason="queue full")
+            raise
+        queued_in_class = sum(1 for queued in queue if queued.qos == request.qos)
+        rejection = self.admit(request.qos, queued_in_class)
+        if rejection is not None:
+            raise self.rejection_error(rejection)
+
     # -- dispatch-time ladder ---------------------------------------------
+
+    def dispatch(
+        self,
+        backlog: list,
+        now_ms: float,
+        breaker: CircuitBreaker | None = None,
+        limit: int | None = None,
+    ) -> Dispatch:
+        """One SLO dispatch cycle over ``backlog`` at simulated ``now_ms``.
+
+        :meth:`prepare` orders the backlog and sheds overdue work; the
+        first ``limit`` survivors are taken (all of them when ``limit`` is
+        None) and the rest come back in :attr:`Dispatch.rest`.  Only if
+        something will run is ``breaker`` asked, once: refused, the taken
+        sheddable requests are shed too (:meth:`breaker_shed`).  The kept
+        requests the ladder left exact are logged RUN.
+        """
+        to_run, shed = self.prepare(backlog, now_ms)
+        rest = [] if limit is None else to_run[limit:]
+        cycle = Dispatch(self, to_run[:limit], rest, shed)
+        if cycle.run and breaker is not None:
+            if breaker.allow(now_ms):
+                cycle.breaker = breaker
+            else:
+                cycle.run, refused = self.breaker_shed(cycle.run)
+                shed.extend(refused)
+        for request in cycle.run:
+            if not request.degraded:
+                self.note_run(request)
+        return cycle
 
     def prepare(self, backlog: list, now_ms: float) -> tuple[list, list]:
         """Order one drained backlog and apply the ladder.
@@ -141,11 +225,7 @@ class SloScheduler:
         for request in ordered:
             qos = self.policy.class_named(request.qos)
             deadline = request.deadline_ms
-            if (
-                qos.sheddable
-                and deadline is not None
-                and now_ms > deadline
-            ):
+            if qos.sheddable and deadline is not None and now_ms > deadline:
                 decision = self._decision(
                     SHED_DEADLINE,
                     request,
@@ -197,11 +277,11 @@ class SloScheduler:
     def note_run(self, request) -> None:
         """Log the exact-path execution of a request.
 
-        Callers invoke this once, at execution time, for requests the
-        ladder never touched — :meth:`prepare` may see the same queued
-        request many times across dispatch cycles, so it only logs
-        ladder *events* (degrade/shed), keeping the decision log at one
-        entry per query.
+        :meth:`dispatch` invokes this once, when the request is taken to
+        run, for requests the ladder never touched — :meth:`prepare` may
+        see the same queued request many times across dispatch cycles,
+        so it only logs ladder *events* (degrade/shed), keeping the
+        decision log at one entry per query.
         """
         self._decision(RUN, request)
 
@@ -225,8 +305,7 @@ class SloScheduler:
                         request,
                         decision,
                         ResourceExhaustedError(
-                            f"{qos.name} query shed: device circuit breaker "
-                            f"is open"
+                            f"{qos.name} query shed: device circuit breaker is open"
                         ),
                     )
                 )

@@ -1,43 +1,39 @@
 """SLO-aware thread server: deadlines and QoS on the production front door.
 
-:class:`SloTopKServer` layers the :mod:`repro.slo` decision core onto
-the thread-based :class:`~repro.serving.TopKServer`:
+:class:`SloTopKServer` mounts the :mod:`repro.slo` serving cycle on the
+thread-based :class:`~repro.serving.TopKServer`:
 
-* :meth:`submit` takes ``qos=`` and ``deadline_ms=``; per-class queue
-  budgets are enforced at admission (typed
-  :class:`~repro.errors.ResourceExhaustedError`) on top of the base
-  server's global bound;
-* each dispatch cycle runs the backlog through
-  :class:`~repro.slo.scheduler.SloScheduler` — EDF ordering, overdue
-  shedding (futures fail with
-  :class:`~repro.errors.DeadlineExceededError`), and recall degradation
-  under projected overrun;
-* a :class:`~repro.resilience.CircuitBreaker` watches the batcher's
-  fallback counters: repeated device faults trip it open, after which
-  sheddable queries fail fast until a cooldown (measured on the server's
-  simulated clock) and a successful half-open probe cycle close it.
+* :meth:`submit` takes ``qos=`` and ``deadline_ms=`` and runs the one
+  admission step (:meth:`~repro.slo.scheduler.SloScheduler.admit_request`:
+  the global bound, then the class's queue budget; typed
+  :class:`~repro.errors.ResourceExhaustedError`);
+* each drained backlog is one dispatch cycle
+  (:meth:`~repro.slo.scheduler.SloScheduler.dispatch` with no limit) —
+  EDF ordering, overdue shedding (futures fail with
+  :class:`~repro.errors.DeadlineExceededError`), recall degradation
+  under projected overrun, and one
+  :class:`~repro.resilience.CircuitBreaker` check: repeated device
+  faults trip it open, after which sheddable queries fail fast until a
+  cooldown and a successful half-open probe cycle close it.
 
-Deadlines are *simulated-time* deadlines against the server's simulated
-clock (accumulated execution cost), matching the deterministic
-simulator; wall-clock queue wait is still recorded per query.  For
-repeatable overload experiments prefer :func:`repro.slo.simulate` —
-thread timing makes drained-batch boundaries, and therefore decision
-logs, machine-dependent here.
+:func:`repro.slo.simulate` runs the same cycle, one request per cycle.
+Deadlines and the breaker cooldown are *simulated time* on this
+server's clock: the executed cost, plus one service estimate per
+request the open breaker sheds (so the cooldown also ends under
+sheddable-only traffic).  Decisions are deterministic for a given
+backlog and clock; which requests share a drain depends on timing.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import Future
 
 import numpy as np
 
-from repro.errors import InvalidParameterError, ResourceExhaustedError
 from repro.resilience.breaker import CircuitBreaker
-from repro.serving.batcher import QueryOutcome
 from repro.serving.scheduler import TopKServer
 from repro.slo.qos import DEFAULT_POLICY, SloPolicy
-from repro.slo.scheduler import SloScheduler
+from repro.slo.scheduler import SHED_BREAKER, SloScheduler
 
 
 class SloTopKServer(TopKServer):
@@ -59,14 +55,14 @@ class SloTopKServer(TopKServer):
             profile=self.batcher.profile,
             metrics=self.metrics,
         )
-        if breaker is not None:
-            self.breaker: CircuitBreaker | None = breaker
-        elif enable_breaker:
-            self.breaker = CircuitBreaker(
+        if breaker is None and enable_breaker:
+            breaker = CircuitBreaker(
                 policy.breaker, name=self.device.name, metrics=self.metrics
             )
-        else:
-            self.breaker = None
+        self.breaker = breaker
+        #: Simulated ms the clock moved without executing: one service
+        #: estimate per request shed by the open breaker.
+        self._shed_ms = 0.0
         if auto_start:
             self.start()
 
@@ -92,96 +88,45 @@ class SloTopKServer(TopKServer):
         qos_class = self.policy.class_named(qos)
         request = self._make_request(data, k, table, column, recall_target)
         relative = deadline_ms if deadline_ms is not None else qos_class.deadline_ms
-        future: Future = Future()
-        request.future = future
         request.qos = qos_class.name
-        request.submitted_wall = time.perf_counter()
         request.submitted_sim_ms = self._sim_now_ms()
         request.deadline_ms = request.submitted_sim_ms + relative
-        with self._lock:
-            if self._closed:
-                raise InvalidParameterError("cannot submit to a closed server")
-            if len(self._pending) + self._in_flight >= self.max_pending:
-                self.metrics.counter("serving.rejected").inc()
-                raise ResourceExhaustedError(
-                    f"serving queue is full ({self.max_pending} queries "
-                    f"pending); shedding load"
-                )
-            queued_in_class = sum(
-                1
-                for pending in self._pending
-                if pending.qos == qos_class.name
-            )
-            rejection = self.slo_scheduler.admit(
-                qos_class.name, queued_in_class
-            )
-            if rejection is not None:
-                self.metrics.counter("serving.rejected").inc()
-                raise self.slo_scheduler.rejection_error(rejection)
-            self._pending.append(request)
-            self.metrics.counter("serving.submitted").inc()
-            self.metrics.gauge("serving.queue_depth").set(len(self._pending))
-            self._work_ready.notify()
-        return future
+        return self._enqueue(request)
 
-    # -- dispatch hooks ----------------------------------------------------
-
-    def _prepare(self, drained: list) -> list:
-        now_ms = self._sim_now_ms()
-        if self.breaker is not None and not self.breaker.allow(now_ms):
-            drained, shed = self.slo_scheduler.breaker_shed(drained)
-            self._fail_shed(shed)
-        to_run, shed = self.slo_scheduler.prepare(drained, now_ms)
-        self._fail_shed(shed)
-        for request in to_run:
-            if not request.degraded:
-                self.slo_scheduler.note_run(request)
-        return to_run
-
-    def _fail_shed(self, shed: list) -> None:
-        for request, decision, error in shed:
-            self.metrics.counter("serving.shed", qos=request.qos).inc()
-            self.metrics.counter("serving.failed").inc()
-            self._release(1)
-            if request.future is not None:
-                request.future.set_exception(error)
-
-    def _run_group(self, group) -> None:
-        fallbacks_before = (
-            self.batcher.fallback_queries + self.batcher.batch_fallbacks
+    def _admit(self, request) -> None:
+        self.slo_scheduler.admit_request(
+            request, self._pending, self.max_pending, self._in_flight
         )
-        sim_before = self.batcher.simulated_ms_total
-        super()._run_group(group)
-        delta_ms = self.batcher.simulated_ms_total - sim_before
-        for _ in group:
-            self.slo_scheduler.observe_service(delta_ms / len(group))
-        if self.breaker is not None:
-            now_ms = self._sim_now_ms()
-            faulted = (
-                self.batcher.fallback_queries + self.batcher.batch_fallbacks
-                > fallbacks_before
-            )
-            if faulted:
-                self.breaker.record_failure(now_ms)
-            else:
-                self.breaker.record_success(now_ms)
-        # Deadline accounting: a query that *finished* late still counts
-        # against goodput even though its future resolved successfully.
-        now_ms = self._sim_now_ms()
-        for request in group:
-            if request.deadline_ms is None or request.future is None:
-                continue
-            if not request.future.done():
-                continue
-            if request.future.exception() is not None:
-                continue
-            outcome = request.future.result()
-            if isinstance(outcome, QueryOutcome):
-                met = now_ms <= request.deadline_ms
-                self.metrics.counter(
-                    "serving.deadline_met" if met else "serving.deadline_missed",
-                    qos=request.qos or "none",
-                ).inc()
+
+    # -- dispatch ----------------------------------------------------------
+
+    def _sim_now_ms(self) -> float:
+        return super()._sim_now_ms() + self._shed_ms
+
+    def _serve(self, drained: list) -> None:
+        cycle = self.slo_scheduler.dispatch(drained, self._sim_now_ms(), self.breaker)
+        for request, decision, error in cycle.shed:
+            if decision.action == SHED_BREAKER:
+                self._shed_ms += self.slo_scheduler.ewma_service_ms
+            self.metrics.counter("serving.shed", qos=request.qos).inc()
+            self._resolve([request], error)
+        error = None
+        try:
+            for group, result in self.batcher.serve(cycle.run):
+                if isinstance(result, Exception):
+                    error = result
+                else:
+                    # A query that *finished* late still counts against
+                    # goodput even though its future resolves successfully.
+                    verdicts = cycle.settle(group, result, self._sim_now_ms())
+                    for request, met in zip(group, verdicts):
+                        name = "met" if met else "missed"
+                        self.metrics.counter(
+                            f"serving.deadline_{name}", qos=request.qos
+                        ).inc()
+                self._resolve(group, result)
+        finally:
+            cycle.record(self._sim_now_ms(), error)
 
     # -- introspection ----------------------------------------------------
 

@@ -2,9 +2,10 @@
 
 The thread-based :class:`~repro.serving.TopKServer` is the production
 front door, but threads make overload experiments unrepeatable: OS
-scheduling decides what is in each drained batch.  The simulator replays
-the same serving pipeline — plan cache, cross-query batcher, scheduler
-decision core, circuit breaker — as a **discrete-event loop over
+scheduling decides what is in each drained batch.  The simulator drives
+the same serving pipeline — plan cache, cross-query batcher, and the
+SLO serving cycle of :mod:`repro.slo.scheduler` (admission, dispatch
+with the circuit breaker, settlement) — as a **discrete-event loop over
 simulated milliseconds**: queries arrive at their trace timestamps, the
 clock advances only by executed kernels' simulated cost, and every
 admission/degradation/shedding choice lands in a decision log.  Same
@@ -12,13 +13,12 @@ seed, same trace ⇒ bit-identical answers, decisions, and latency
 digests; that is the property the overload test suite and the
 ``slo-bench`` entry of CI's ``smoke`` matrix pin down.
 
-Dispatch is per-query EDF: every cycle the scheduler re-evaluates the
-whole queue against the current clock (shedding newly-overdue work,
-degrading queries whose projection slipped), then exactly one query —
-the earliest-deadline survivor — executes and the clock advances by its
-simulated cost.  Re-evaluating between executions is what lets the
-ladder react *during* a burst instead of after it; the threaded server
-approximates the same policy at drained-batch granularity.
+The cycle runs once per executed request (``limit=1``): it re-judges
+the whole queue against the current clock, then exactly one query — the
+earliest-deadline survivor — executes and the clock advances by its
+simulated cost, so the ladder reacts *during* a burst.  The threaded
+server runs the same cycle once per drained backlog.  This module keeps
+only the trace replay and the per-query answer bookkeeping.
 """
 
 from __future__ import annotations
@@ -37,13 +37,7 @@ from repro.serving.batcher import CrossQueryBatcher, ServingRequest
 from repro.serving.plan_cache import PlanCache
 from repro.slo.arrivals import OpenLoopWorkload, SloQuery
 from repro.slo.qos import DEFAULT_POLICY
-from repro.slo.scheduler import (
-    DEGRADE,
-    REJECT,
-    RUN,
-    Decision,
-    SloScheduler,
-)
+from repro.slo.scheduler import DEGRADE, REJECT, RUN, Decision, SloScheduler
 
 #: Global in-flight bound (the pre-SLO server's only defense, kept for
 #: both arms so FIFO vs SLO differences come from policy alone).
@@ -237,36 +231,11 @@ def simulate(
         answers[query.index] = answer
         return answer
 
+    def fail(query: SloQuery, action: str, error, counter: str) -> None:
+        metrics.counter(counter, qos=query.qos).inc()
+        resolve(query, action=action, ok=False, error=str(error))
+
     def admit(query: SloQuery) -> None:
-        if len(queue) >= max_pending:
-            scheduler._record(
-                Decision(REJECT, query.qos, query.n, query.k, "queue full")
-            )
-            metrics.counter("slo.rejected", qos=query.qos).inc()
-            resolve(
-                query,
-                action=REJECT,
-                ok=False,
-                error=str(
-                    ResourceExhaustedError(
-                        f"serving queue is full ({max_pending} pending)"
-                    )
-                ),
-            )
-            return
-        queued_in_class = sum(
-            1 for request in queue if request.qos == query.qos
-        )
-        rejection = scheduler.admit(query.qos, queued_in_class)
-        if rejection is not None:
-            metrics.counter("slo.rejected", qos=query.qos).inc()
-            resolve(
-                query,
-                action=REJECT,
-                ok=False,
-                error=str(scheduler.rejection_error(rejection)),
-            )
-            return
         request = ServingRequest(
             data=column[query.offset : query.offset + query.n],
             k=query.k,
@@ -276,75 +245,43 @@ def simulate(
             + scheduler.policy.class_named(query.qos).deadline_ms,
             qos=query.qos,
         )
+        try:
+            scheduler.admit_request(request, queue, max_pending)
+        except ResourceExhaustedError as error:
+            fail(query, REJECT, error, "slo.rejected")
+            return
         owners[id(request)] = query
         queue.append(request)
-
-    def fail_shed(triples) -> None:
-        for request, decision, error in triples:
-            query = owners.pop(id(request))
-            metrics.counter("slo.shed", qos=query.qos).inc()
-            resolve(
-                query,
-                action=decision.action,
-                ok=False,
-                error=str(error),
-            )
 
     while next_arrival < len(trace) or queue:
         if not queue:
             # Idle server: jump the clock to the next arrival.
             now_ms = max(now_ms, trace[next_arrival].arrival_ms)
-        while (
-            next_arrival < len(trace)
-            and trace[next_arrival].arrival_ms <= now_ms
-        ):
+        while next_arrival < len(trace) and trace[next_arrival].arrival_ms <= now_ms:
             admit(trace[next_arrival])
             next_arrival += 1
         if not queue:
             continue
-        drained, queue = queue, []
-        to_run, shed = scheduler.prepare(drained, now_ms)
-        fail_shed(shed)
-        if not to_run:
-            continue
         # Execute only the earliest-deadline survivor; the rest return to
-        # the pool so the next cycle re-evaluates them against the clock
+        # the queue so the next cycle re-evaluates them against the clock
         # their wait has actually cost them.
-        request, rest = to_run[0], to_run[1:]
-        queue.extend(rest)
+        cycle = scheduler.dispatch(queue, now_ms, breaker, limit=1)
+        queue = cycle.rest
+        for request, decision, error in cycle.shed:
+            fail(owners.pop(id(request)), decision.action, error, "slo.shed")
+        if not cycle.run:
+            continue
+        [request] = cycle.run
         query = owners.pop(id(request))
-        allowed = breaker.allow(now_ms) if breaker is not None else True
-        if not allowed:
-            _, breaker_shed = scheduler.breaker_shed([request])
-            if breaker_shed:
-                for _, decision, error in breaker_shed:
-                    metrics.counter("slo.shed", qos=query.qos).inc()
-                    resolve(
-                        query,
-                        action=decision.action,
-                        ok=False,
-                        error=str(error),
-                    )
-                continue
-            # Non-sheddable queries run even against an open breaker (the
-            # resilient fallback chain still produces an answer); their
-            # outcome is not reported to the breaker, whose probe
-            # accounting covers allowed executions only.
-        if not request.degraded:
-            scheduler.note_run(request)
-        fallbacks_before = batcher.fallback_queries + batcher.batch_fallbacks
         start_ms = now_ms
         request.queue_wait_sim_ms = max(0.0, start_ms - query.arrival_ms)
         metrics.histogram("serving.queue_wait_sim_ms").observe(
             request.queue_wait_sim_ms
         )
-        try:
-            batcher.plan(request)
-            outcome = batcher.execute([request])[0]
-        except Exception as error:  # noqa: BLE001 — typed fault escapes
+        [(_, result)] = batcher.serve([request])
+        if isinstance(result, Exception):
             now_ms += scheduler.ewma_service_ms  # failed attempt still burns time
-            if breaker is not None and allowed:
-                breaker.record_failure(now_ms, error)
+            cycle.record(now_ms, result)
             metrics.counter("slo.failed", qos=query.qos).inc()
             resolve(
                 query,
@@ -352,24 +289,17 @@ def simulate(
                 ok=False,
                 start_ms=start_ms,
                 finish_ms=now_ms,
-                error=str(error),
+                error=str(result),
             )
             continue
+        [outcome] = result
         now_ms += outcome.simulated_ms
-        scheduler.observe_service(outcome.simulated_ms)
-        faulted = (
-            batcher.fallback_queries + batcher.batch_fallbacks
-            > fallbacks_before
-        )
-        if breaker is not None and allowed:
-            if faulted:
-                breaker.record_failure(now_ms)
-            else:
-                breaker.record_success(now_ms)
+        [met] = cycle.settle([request], result, now_ms)
+        cycle.record(now_ms)
         answer = resolve(
             query,
             action=DEGRADE if request.degraded else RUN,
-            ok=False,  # set below once the deadline check is done
+            ok=met,
             start_ms=start_ms,
             finish_ms=now_ms,
             simulated_ms=outcome.simulated_ms,
@@ -378,7 +308,6 @@ def simulate(
             values=outcome.values,
             indices=outcome.indices,
         )
-        answer.ok = now_ms <= answer.deadline_ms
         if request.degraded:
             answer.measured_recall = measured_recall(
                 outcome.values,
@@ -387,12 +316,8 @@ def simulate(
                 ),
             )
             metrics.counter("slo.degraded", qos=query.qos).inc()
-        metrics.counter(
-            "slo.met" if answer.ok else "slo.missed", qos=query.qos
-        ).inc()
-        metrics.summary("slo.latency_ms", qos=query.qos).observe(
-            answer.latency_ms
-        )
+        metrics.counter("slo.met" if answer.ok else "slo.missed", qos=query.qos).inc()
+        metrics.summary("slo.latency_ms", qos=query.qos).observe(answer.latency_ms)
 
     ordered = [answers[index] for index in sorted(answers)]
     result = SimulationResult(

@@ -17,13 +17,12 @@ The degradation ladder is the SLO layer's, re-based on ticks:
    the tick's chunk is absorbed (the window must stay current) but the
    emit is shed, recorded as a :class:`~repro.errors.
    DeadlineExceededError` outcome rather than a late answer;
-3. **breaker** — consecutive deadline misses past the policy's breaker
-   threshold trip the stream's circuit open and the serve loop stops
-   rather than falling arbitrarily far behind.
+3. **breaker** — each missed tick is a failure of the policy's
+   :class:`~repro.resilience.CircuitBreaker`; once it trips open, the
+   serve loop stops rather than falling arbitrarily far behind.
 
-Service-time projection uses the policy's EWMA estimator
-(``ewma_alpha`` / ``initial_service_ms``), exactly like the request
-scheduler's EDF estimator.
+The projection is :class:`~repro.slo.scheduler.SloScheduler`'s EWMA
+service estimate, reset to ``initial_service_ms`` on degrade.
 """
 
 from __future__ import annotations
@@ -34,7 +33,9 @@ import numpy as np
 
 from repro import observability as obs
 from repro.errors import DeadlineExceededError, InvalidParameterError
+from repro.resilience.breaker import OPEN, CircuitBreaker
 from repro.slo.qos import DEFAULT_POLICY, SloPolicy
+from repro.slo.scheduler import SloScheduler
 from repro.streaming.subscription import Subscription
 from repro.streaming.window import WindowTopK
 
@@ -163,10 +164,11 @@ def serve_stream(
         raise InvalidParameterError(f"ticks must be at least 1, got {ticks}")
     qos_class = policy.class_named(qos)
     report = StreamServeReport(qos=qos, deadline_ms=qos_class.deadline_ms)
-    projected = policy.initial_service_ms
-    consecutive_misses = 0
+    estimator = SloScheduler(policy)
+    breaker = CircuitBreaker(policy.breaker)
+    clock_ms = 0.0
     for tick in range(ticks):
-        if consecutive_misses >= policy.breaker.failure_threshold:
+        if breaker.state == OPEN:
             # Rung 3: the stream's breaker is open — stop serving rather
             # than deliver every remaining answer late.
             report.outcomes.append(
@@ -175,14 +177,14 @@ def serve_stream(
                     status="breaker-open",
                     simulated_ms=0.0,
                     deadline_ms=qos_class.deadline_ms,
-                    projected_ms=projected,
+                    projected_ms=estimator.ewma_service_ms,
                     missed=True,
                     error=DeadlineExceededError.__name__,
                 )
             )
             break
         status = "ok"
-        if projected > qos_class.deadline_ms and qos_class.degradable:
+        if qos_class.degradable and estimator.ewma_service_ms > qos_class.deadline_ms:
             maintainer = subscription.maintainer
             if isinstance(maintainer, WindowTopK):
                 if maintainer.degrade_to_incremental():
@@ -190,7 +192,8 @@ def serve_stream(
                     status = "degraded"
                     # The cheap plan invalidates the expensive plan's
                     # history; re-project from one cheap tick.
-                    projected = policy.initial_service_ms
+                    estimator.ewma_service_ms = policy.initial_service_ms
+        projected = estimator.ewma_service_ms
         shed = (
             projected > qos_class.deadline_ms
             and status != "degraded"
@@ -212,11 +215,12 @@ def serve_stream(
                 error=DeadlineExceededError.__name__ if shed else None,
             )
         )
-        consecutive_misses = consecutive_misses + 1 if missed else 0
-        projected = (
-            policy.ewma_alpha * observed
-            + (1.0 - policy.ewma_alpha) * projected
-        )
+        clock_ms += observed
+        if missed:
+            breaker.record_failure(clock_ms)
+        else:
+            breaker.record_success(clock_ms)
+        estimator.observe_service(observed)
         registry = obs.active_metrics()
         if registry is not None:
             registry.counter("streaming.served_ticks", status=status).inc()

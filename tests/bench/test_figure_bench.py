@@ -29,7 +29,7 @@ def _report(values):
     for x, y in values.items():
         series.add(x, y)
     workload = FigureWorkload(("abl43",))
-    return FigureBenchReport(workload, [figure])
+    return FigureBenchReport(workload, [figure], "titan-x-maxwell")
 
 
 class TestFigureWorkload:

@@ -176,6 +176,21 @@ class TestBaselineGates:
                 assert problems[0].startswith(f"{label} "), problems
 
 
+    @pytest.mark.parametrize("bench", WITH_BASELINE, ids=_ids)
+    @pytest.mark.parametrize("device", [None, "v100"], ids=["missing", "other"])
+    def test_another_device_is_one_incomparable_problem(self, bench, device):
+        baseline = json.loads((ROOT / bench.baseline).read_text())
+        moved = copy.deepcopy(baseline)
+        if device is None:
+            del moved["device"]
+        else:
+            moved["device"] = device
+        for report, against in ((baseline, moved), (moved, baseline)):
+            problems = check_baseline(Committed(bench, report), against)
+            assert len(problems) == 1, problems
+            assert problems[0].startswith("baseline device differs"), problems
+
+
 class TestBenchExits:
     @pytest.mark.parametrize("bench", BENCHES, ids=_ids)
     def test_failed_gates_exit_one(self, bench, monkeypatch, capsys):

@@ -191,3 +191,19 @@ class TestErrors:
         executor = QueryExecutor(tweets, device)
         with pytest.raises(UnsupportedQueryError):
             executor.sql("SELECT a FROM other LIMIT 1")
+
+    @pytest.mark.parametrize("direction", ["ASC", "DESC"])
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT v FROM w ORDER BY v {}",
+            "SELECT v, COUNT() AS n FROM w GROUP BY v ORDER BY n {}",
+        ],
+        ids=["scan", "group-by"],
+    )
+    def test_order_by_without_limit_is_rejected(self, sql, direction):
+        # Only top-k is answered; a full sort used to come back unsorted.
+        session = Session()
+        session.register(make_table("w", {"v": np.array([3, 1, 2], np.int32)}))
+        with pytest.raises(UnsupportedQueryError, match="LIMIT"):
+            session.sql(sql.format(direction))

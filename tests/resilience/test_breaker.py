@@ -84,6 +84,15 @@ class TestFaultTaxonomy:
         breaker.record_failure(0.0, InvalidParameterError("caller bug"))
         assert breaker.state == CLOSED
 
+    def test_uncounted_probe_failure_frees_the_probe(self):
+        # A probe that failed on a caller bug proved nothing about the
+        # device: the breaker stays half-open and admits the next probe.
+        breaker = tripped(BreakerPolicy(cooldown_ms=1.0, half_open_probes=1))
+        assert breaker.allow(2.0)
+        breaker.record_failure(2.1, InvalidParameterError("caller bug"))
+        assert breaker.state == HALF_OPEN
+        assert breaker.allow(2.2)
+
     def test_unclassified_failures_count(self):
         # error=None means the caller observed a device fault directly
         # (e.g. the batcher's fallback counters moved).

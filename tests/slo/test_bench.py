@@ -86,9 +86,7 @@ class TestBaselineGate:
 
     def test_missing_rate_is_flagged(self, report):
         baseline = copy.deepcopy(report.to_dict())
-        baseline["points"].append(
-            copy.deepcopy(baseline["points"][0])
-        )
+        baseline["points"].append(copy.deepcopy(baseline["points"][0]))
         baseline["points"][-1]["rate"] = 99.0
         problems = check_baseline(report, baseline)
         assert problems == ["report is missing baseline points[rate=99.0]"]

@@ -25,13 +25,15 @@ class TestClassTable:
         assert STANDARD.degradable and not STANDARD.sheddable
         assert BEST_EFFORT.degradable and BEST_EFFORT.sheddable
 
-    @pytest.mark.parametrize(
-        "kwargs", [{"deadline_ms": 0.0}, {"queue_budget": 0}]
-    )
+    @pytest.mark.parametrize("kwargs", [{"deadline_ms": 0.0}, {"queue_budget": 0}])
     def test_bad_class_rejected(self, kwargs):
         defaults = dict(
-            name="x", priority=0, deadline_ms=1.0, queue_budget=4,
-            degradable=True, sheddable=True,
+            name="x",
+            priority=0,
+            deadline_ms=1.0,
+            queue_budget=4,
+            degradable=True,
+            sheddable=True,
         )
         with pytest.raises(InvalidParameterError):
             QoSClass(**{**defaults, **kwargs})

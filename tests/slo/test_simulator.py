@@ -64,9 +64,7 @@ class TestDeterminism:
 
 class TestBelowSaturation:
     def test_slo_arm_is_bit_equal_to_fifo(self, device, plan_cache):
-        fifo = run(
-            CALM_RATE, FifoScheduler, device=device, plan_cache=plan_cache
-        )
+        fifo = run(CALM_RATE, FifoScheduler, device=device, plan_cache=plan_cache)
         slo = run(CALM_RATE, device=device, plan_cache=plan_cache)
         assert slo.degraded_count == 0
         assert slo.shed_count == 0
@@ -78,17 +76,13 @@ class TestBelowSaturation:
 
 class TestOverload:
     def test_ladder_engages_and_beats_fifo(self, device, plan_cache):
-        fifo = run(
-            OVERLOAD_RATE, FifoScheduler, device=device, plan_cache=plan_cache
-        )
+        fifo = run(OVERLOAD_RATE, FifoScheduler, device=device, plan_cache=plan_cache)
         slo = run(OVERLOAD_RATE, device=device, plan_cache=plan_cache)
         assert fifo.goodput < 0.9, "sweep rate no longer saturates FIFO"
         assert slo.goodput > fifo.goodput
         assert slo.degraded_count + slo.shed_count > 0
 
-    def test_degraded_answers_meet_their_advertised_recall(
-        self, device, plan_cache
-    ):
+    def test_degraded_answers_meet_their_advertised_recall(self, device, plan_cache):
         slo = run(OVERLOAD_RATE, device=device, plan_cache=plan_cache)
         degraded = [answer for answer in slo.answers if answer.degraded]
         assert degraded, "overload no longer triggers degradation"

@@ -44,8 +44,12 @@ def policy_with(
     failure_threshold=3,
 ):
     tenant = QoSClass(
-        "tenant", priority=0, deadline_ms=deadline_ms, queue_budget=8,
-        degradable=degradable, sheddable=sheddable,
+        "tenant",
+        priority=0,
+        deadline_ms=deadline_ms,
+        queue_budget=8,
+        degradable=degradable,
+        sheddable=sheddable,
     )
     return SloPolicy(
         classes=(tenant,),
@@ -58,7 +62,8 @@ class TestHappyPath:
     def test_generous_deadline_delivers_every_tick(self):
         with subscription() as stream:
             report = serve_stream(
-                stream, 12,
+                stream,
+                12,
                 policy=policy_with(1000.0, False, False),
                 qos="tenant",
             )
@@ -86,7 +91,9 @@ class TestDegrade:
         # serving continues exactly.
         with subscription(mode="recompute") as stream:
             policy = policy_with(
-                1.0, degradable=True, sheddable=False,
+                1.0,
+                degradable=True,
+                sheddable=False,
                 initial_service_ms=50.0,
             )
             report = serve_stream(stream, 10, policy=policy, qos="tenant")
@@ -102,7 +109,9 @@ class TestDegrade:
         # chunks through an undegraded incremental subscription.
         with subscription(mode="recompute") as degraded:
             policy = policy_with(
-                1.0, degradable=True, sheddable=False,
+                1.0,
+                degradable=True,
+                sheddable=False,
                 initial_service_ms=50.0,
             )
             serve_stream(degraded, 8, policy=policy, qos="tenant")
@@ -111,16 +120,17 @@ class TestDegrade:
             for _ in range(8):
                 oracle.step()
             oracle_answer = oracle.maintainer.emit()
-        assert np.array_equal(
-            degraded_answer[0], oracle_answer[0], equal_nan=True
-        )
+        assert np.array_equal(degraded_answer[0], oracle_answer[0], equal_nan=True)
         assert np.array_equal(degraded_answer[1], oracle_answer[1])
 
     def test_non_degradable_class_never_degrades(self):
         with subscription(mode="recompute") as stream:
             policy = policy_with(
-                1.0, degradable=False, sheddable=False,
-                initial_service_ms=50.0, failure_threshold=100,
+                1.0,
+                degradable=False,
+                sheddable=False,
+                initial_service_ms=50.0,
+                failure_threshold=100,
             )
             serve_stream(stream, 6, policy=policy, qos="tenant")
             assert stream.maintainer.mode == "recompute"
@@ -133,8 +143,11 @@ class TestShed:
         # ticks deliver.
         with subscription() as stream:
             policy = policy_with(
-                1.0, degradable=True, sheddable=True,
-                initial_service_ms=10.0, failure_threshold=100,
+                1.0,
+                degradable=True,
+                sheddable=True,
+                initial_service_ms=10.0,
+                failure_threshold=100,
             )
             report = serve_stream(stream, 20, policy=policy, qos="tenant")
         assert report.shed_ticks > 0
@@ -151,8 +164,11 @@ class TestShed:
     def test_shed_ticks_still_advance_the_window(self):
         with subscription() as stream:
             policy = policy_with(
-                1.0, degradable=False, sheddable=True,
-                initial_service_ms=10.0, failure_threshold=100,
+                1.0,
+                degradable=False,
+                sheddable=True,
+                initial_service_ms=10.0,
+                failure_threshold=100,
             )
             serve_stream(stream, 5, policy=policy, qos="tenant")
             # Every chunk was absorbed whether or not its emit was paid.
@@ -165,7 +181,9 @@ class TestBreaker:
         # after failure_threshold misses the stream stops serving.
         with subscription() as stream:
             policy = policy_with(
-                1e-6, degradable=False, sheddable=False,
+                1e-6,
+                degradable=False,
+                sheddable=False,
                 failure_threshold=3,
             )
             report = serve_stream(stream, 50, policy=policy, qos="tenant")
@@ -179,8 +197,12 @@ class TestBreaker:
 class TestReport:
     def outcome(self, tick, status, ms=0.1, missed=False):
         return TickOutcome(
-            tick=tick, status=status, simulated_ms=ms,
-            deadline_ms=1.0, projected_ms=ms, missed=missed,
+            tick=tick,
+            status=status,
+            simulated_ms=ms,
+            deadline_ms=1.0,
+            projected_ms=ms,
+            missed=missed,
         )
 
     def test_summary_counters(self):
