@@ -54,6 +54,10 @@ CODES_AND_COLUMNS = "codes+column"
 ROW_BITS = 32
 _ROW_MASK = np.uint64((1 << ROW_BITS) - 1)
 
+#: Byte bound of the cached packed row column (:func:`_packed_rows`).
+_ROW_COLUMN_BYTES = 2 << 20
+_row_column = np.empty(0, dtype=np.uint64)
+
 
 def key_bits(dtype: np.dtype) -> int:
     """Key width in bits (32 or 64)."""
@@ -165,8 +169,9 @@ def sort_keys(
     """
     n = data.shape[-1]
     width = n if width is None else width
-    codes = np.zeros(data.shape[:-1] + (width,), dtype=np.uint64)
+    codes = np.empty(data.shape[:-1] + (width,), dtype=np.uint64)
     codes[..., :n] = encode(data)
+    codes[..., n:] = 0
     return _with_columns(codes, data.dtype, n)
 
 
@@ -204,11 +209,31 @@ def _with_columns(
     if layout(dtype) == PACKED and width <= 1 << ROW_BITS:
         real = codes[..., :n]
         real <<= np.uint64(ROW_BITS)
-        real |= _ROW_MASK - np.arange(n, dtype=np.uint64)
+        real |= _packed_rows(n)
         return codes, None
     row_dtype = np.int32 if width <= np.iinfo(np.int32).max else np.int64
     rows = np.broadcast_to(np.arange(width, dtype=row_dtype), codes.shape).copy()
     return codes, rows
+
+
+def _packed_rows(n: int) -> np.ndarray:
+    """The low halves of the first ``n`` packed keys, ``2^32 - 1 - column``.
+
+    Sliced from one read-only column, rebuilt at the next power of two
+    when a larger ``n`` asks for it, as long as that fits
+    :data:`_ROW_COLUMN_BYTES`; a larger ``n`` builds its own.
+    """
+    global _row_column
+    if len(_row_column) >= n:
+        return _row_column[:n]
+    size = 1 << (n - 1).bit_length()
+    cached = size * _row_column.itemsize <= _ROW_COLUMN_BYTES
+    top = int(_ROW_MASK)
+    column = np.arange(top, top - (size if cached else n), -1, dtype=np.uint64)
+    if cached:
+        column.flags.writeable = False
+        _row_column = column
+    return column[:n]
 
 
 def key_rows(keys: np.ndarray, rows: np.ndarray | None, k: int) -> np.ndarray:

@@ -28,9 +28,14 @@ gather.
 local sort or a rebuild is a sorting network applied to each k-run, and on
 keys that are distinct (or equal only where their bits are) a sorting
 network has one possible output: the sorted run.  So the reduction sorts
-every k-run, keeps the paper's merge unchanged, re-sorts, and repeats —
-bit-identical to stepping.  The top-k kernels rank exactly such keys:
-each row rides in its key or in the payload, and every padding key is 0.
+every k-run, runs the paper's merge, re-sorts, and repeats — bit-identical
+to stepping.  The top-k kernels rank exactly such keys: each row rides in
+its key or in the payload, and every padding key is 0.  On packed keys
+(integers, no payload) the merge's keep-the-larger compare-exchange
+against the reversed partner run is one ``np.maximum``, and the levels
+alternate between two buffers, sorted in place; float and payload rows
+keep the branch-free bit blend (``_less``/``_select``): ``maximum``
+propagates NaN, and a payload breaks ties that ``maximum`` cannot see.
 The simulated cost never reads the data (Section 6.4):
 :func:`repro.bitonic.kernels.build_trace` prices the network's steps from
 n, k, item size and flags alone.
@@ -184,6 +189,28 @@ def _sort_runs(
     return np.take_along_axis(runs, order, -1), np.take_along_axis(payload, order, -1)
 
 
+def _reduce_by_max(values: np.ndarray, k: int, rows: int) -> np.ndarray:
+    """:func:`reduce_topk` of integer keys without a payload: each row's
+    top-k as one ascending run of a ``(rows, k)`` array.
+
+    Equal integer keys are equal bits, so the merge's keep-the-larger
+    compare-exchange against the reversed partner run is one ``np.maximum``.
+    The levels alternate between the sorted copy of ``values`` and one
+    spare buffer of half its size, each level's runs sorted in place.
+    """
+    runs = values.copy().reshape(-1, k)
+    runs.sort(axis=-1)
+    if len(runs) == rows:
+        return runs
+    spare = np.empty((len(runs) // 2, k), runs.dtype)
+    while len(runs) > rows:
+        merged = spare[: len(runs) // 2]
+        np.maximum(runs[0::2], runs[1::2, ::-1], out=merged)
+        merged.sort(axis=-1)
+        runs, spare = merged, runs
+    return runs.copy()
+
+
 def reduce_topk(
     values: np.ndarray, k: int, payload: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -201,6 +228,10 @@ def reduce_topk(
     validate_power_of_two(n, "n")
     if k > n:
         raise InvalidParameterError("k cannot exceed the (padded) input size")
+    shape = values.shape[:-1] + (k,)
+    if payload is None and values.dtype.kind in "iu":
+        runs = _reduce_by_max(values, k, values.size // n)
+        return runs.reshape(shape)[..., ::-1], None
     runs, payload = _sort_runs(values, payload, k)
     while len(runs) > values.size // n:
         # The merge pairs run 2j ascending with run 2j + 1 descending.
@@ -208,6 +239,5 @@ def reduce_topk(
         if payload is not None:
             payload[1::2] = payload[1::2, ::-1]
         runs, payload = _sort_runs(*merge(runs.reshape(-1), k, payload), k)
-    shape = values.shape[:-1] + (k,)
     top = runs.reshape(shape)[..., ::-1]
     return top, None if payload is None else payload.reshape(shape)[..., ::-1]

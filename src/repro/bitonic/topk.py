@@ -5,7 +5,8 @@ Functionally the algorithm ranks canonical keys
 row, padded to a power of two with key 0, which ranks below every real
 row), computes the output of the local-sort / merge / rebuild network
 (:func:`repro.bitonic.operators.reduce_topk`: its runs sorted, the paper's
-merge unchanged), and reads the top-k rows back from the surviving keys —
+merge one ``np.maximum`` of packed keys against the reversed partner run),
+and reads the top-k rows back from the surviving keys —
 exactly the oracle's rows, NaN last and lower row first on ties.  The
 execution trace carries the cost: it models the SortReducer /
 BitonicReducer kernel pipeline (:mod:`repro.bitonic.kernels`) step by

@@ -14,11 +14,12 @@ key layout (:func:`repro.algorithms.keys.layout`).  Functionally every row
 runs through the same reduction, on the same canonical keys, as the
 single-row algorithm (:func:`repro.bitonic.operators.reduce_topk` takes a
 ``(rows, width)`` tile): it computes the network's output at the largest
-k's network, its runs sorted and the paper's merge unchanged, and each row
-reads its own k-prefix, so each row's answer is the oracle's.  The
-execution trace carries the cost: the single-row kernel pipeline at the
-tile's width with its traffic scaled by the row count (the launch count
-does not scale — the point of batching).
+k's network, its runs sorted and packed keys merged by ``np.maximum``
+against the reversed partner run in two buffers, and each row reads its
+own k-prefix, so each row's answer is the oracle's.  The execution trace
+carries the cost: the single-row kernel pipeline at the tile's width with
+its traffic scaled by the row count (the launch count does not scale —
+the point of batching).
 """
 
 from __future__ import annotations

@@ -326,8 +326,8 @@ class QueryExecutor:
     def _execute_topk(
         self, query: Query, strategy: str, model_rows: int
     ) -> QueryResult:
-        mask = self._filter_mask(query)
-        candidate_rows = np.flatnonzero(mask)
+        matched = self._matched_rows(query)
+        candidate_rows = np.arange(len(self.table)) if query.where is None else matched
         k = min(query.limit, len(candidate_rows))
         keys = query.order_by_keys or [(query.order_by, query.order_desc)]
         selectivity = len(candidate_rows) / max(1, len(self.table))
@@ -378,7 +378,7 @@ class QueryExecutor:
             ranks = self._rank_array(keys[0][0])
             if not keys[0][1]:
                 ranks = -ranks
-            candidate_ranks = ranks[mask].astype(np.float32)
+            candidate_ranks = ranks[matched].astype(np.float32)
             order, approx_trace = self._run_selection(
                 plan, candidate_ranks, k, matched_model
             )
@@ -389,7 +389,8 @@ class QueryExecutor:
             sort_keys = []
             for expression, descending in keys:
                 values = self._rank_array(expression)
-                sort_keys.append(-values[mask] if descending else values[mask])
+                values = values[matched]
+                sort_keys.append(-values if descending else values)
             order = np.lexsort(tuple(reversed(sort_keys)))[:k]
             result_rows = candidate_rows[order]
         columns = self._project(query, result_rows)
@@ -605,9 +606,9 @@ class QueryExecutor:
                 "GROUP BY queries must select at least one aggregate"
             )
         group_column = query.group_by[0]
-        mask = self._filter_mask(query)
+        matched = self._matched_rows(query)
         keys, codes = self.table.factorized(group_column)
-        codes = codes[mask]
+        codes = codes[matched]
         counts = np.bincount(codes, minlength=len(keys))
         present = np.flatnonzero(counts)
         groups, counts = keys[present], counts[present]
@@ -618,7 +619,7 @@ class QueryExecutor:
         aggregates: dict[str, np.ndarray] = {}
         for item in aggregate_items:
             aggregates[item.alias] = self._aggregate(
-                item, mask, inverse, counts, len(groups)
+                item, matched, inverse, counts, len(groups)
             )
 
         with faults.suspended():
@@ -635,11 +636,14 @@ class QueryExecutor:
             if not query.order_desc:
                 rank = -rank
             k = min(query.limit, len(groups))
-            order, _ = self._run_selection(
-                plan, rank.astype(np.float64), k, len(groups)
-            )
+            order = np.empty(0, dtype=np.intp)
+            if k > 0:
+                order, _ = self._run_selection(
+                    plan, rank.astype(np.float64), k, len(groups)
+                )
         else:
-            order = np.argsort(counts)[::-1]
+            # Count descending, the lower key first: ``groups`` is sorted.
+            order = np.argsort(-counts, kind="stable")[: query.limit]
         result = {group_column: groups[order]}
         for alias, values in aggregates.items():
             result[alias] = values[order]
@@ -685,7 +689,7 @@ class QueryExecutor:
     def _aggregate(
         self,
         item,
-        mask: np.ndarray,
+        matched: np.ndarray | slice,
         inverse: np.ndarray,
         counts: np.ndarray,
         num_groups: int,
@@ -693,7 +697,7 @@ class QueryExecutor:
         """Evaluate one aggregate select item over the grouped rows."""
         if item.aggregate == "count":
             return counts
-        values = self._rank_array(item.expression)[mask]
+        values = self._rank_array(item.expression)[matched]
         if item.aggregate == "sum":
             return np.bincount(inverse, weights=values, minlength=num_groups)
         if item.aggregate == "avg":
@@ -740,6 +744,13 @@ class QueryExecutor:
         if values.ndim == 0:
             values = np.full(len(self.table), float(values))
         return values
+
+    def _matched_rows(self, query: Query) -> np.ndarray | slice:
+        """The index that gathers the rows the WHERE clause keeps from a
+        column: their positions, or every row (no gather) without one."""
+        if query.where is None:
+            return slice(None)
+        return np.flatnonzero(self._filter_mask(query))
 
     def _filter_mask(self, query: Query) -> np.ndarray:
         if query.where is None:

@@ -11,7 +11,9 @@ Grammar (case-insensitive keywords)::
 
 ORDER BY parses without LIMIT, but the executor answers top-k queries
 only and rejects it, after a scan or a GROUP BY, with
-:class:`~repro.errors.UnsupportedQueryError`.
+:class:`~repro.errors.UnsupportedQueryError`.  GROUP BY without ORDER BY
+returns its groups by count descending, the lower key first, cut at the
+LIMIT: the rows of ``ORDER BY <count alias> DESC LIMIT k``.
     select    := expression [AS name]
                | COUNT([*]) [AS name]
                | (SUM | MIN | MAX | AVG) '(' expression ')' [AS name]

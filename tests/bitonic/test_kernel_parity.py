@@ -16,7 +16,13 @@ The compare-exchange counts are pinned on the step reference:
 network's comparisons through ``apply_step``, which is what
 ``bitonic.compare_exchanges`` counts in a traced run.  A work guard checks
 that the top-k front doors never step.
+
+Integer keys without a payload merge by ``np.maximum`` in two buffers; a
+float row without a payload keeps the bit blend, which a NaN case pins,
+and a ``tracemalloc`` guard bounds what the packed reduction allocates.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,3 +252,50 @@ def test_top_k_front_doors_never_step(monkeypatch, dtype):
     batch = batched_topk(matrix, 40)
     for row in range(len(matrix)):
         assert np.array_equal(batch.indices[row], reference_topk(matrix[row], 40)[1])
+
+
+@pytest.mark.parametrize(
+    "k, bits",
+    [
+        (1, [0x40400000]),
+        (2, [0x7FC00000, 0x3F800000]),
+        (4, [0x7FC00000, 0x40400000, 0x40000000, 0x00000000]),
+        (
+            8,
+            [
+                0x7FC00000,
+                0x7FC00000,
+                0x40400000,
+                0x40000000,
+                0x3F800000,
+                0x80000000,
+                0x00000000,
+                0xBF800000,
+            ],
+        ),
+    ],
+)
+def test_float_row_without_payload_keeps_the_bit_blend(k, bits):
+    """``np.maximum`` propagates NaN, so a float row must not merge by it:
+    the blend keeps the first of a pair that holds a NaN, where ``maximum``
+    would return ``[nan, nan]`` at k = 2."""
+    values = np.array([1, np.nan, -0.0, 0.0, 3, np.nan, 2, -1], dtype=np.float32)
+    top, payload = reduce_topk(values, k)
+    assert payload is None
+    assert top.view(np.uint32).tolist() == bits
+
+
+def test_packed_reduction_allocates_one_copy_and_a_half():
+    """The packed reduction sorts one copy of the keys and merges into one
+    spare buffer of half its size: no level allocates a fresh array."""
+    data = np.random.default_rng(7).standard_normal(1 << 17).astype(np.float32)
+    packed, columns = keys.sort_keys(data)
+    assert columns is None
+    tracemalloc.start()
+    try:
+        top, _ = reduce_topk(packed, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * packed.nbytes
+    assert np.array_equal(top, np.sort(packed)[::-1][:64])

@@ -90,6 +90,34 @@ class TestAggregates:
             executor.sql("SELECT region FROM sales GROUP BY region LIMIT 1")
 
 
+class TestGroupByWithoutOrderBy:
+    """Groups come count descending, the lower key first, and LIMIT cuts
+    them as it cuts the same query ordered by count."""
+
+    @pytest.fixture
+    def ties(self, device):
+        table = make_table("t", {"g": np.array([5, 1, 3, 1, 3, 5, 7])})
+        return QueryExecutor(table, device)
+
+    @pytest.mark.parametrize("limit", [None, 0, 2, 4, 9])
+    def test_count_descending_lower_key_first(self, ties, limit):
+        text = "SELECT g, COUNT() AS n FROM t GROUP BY g"
+        result = ties.sql(text if limit is None else f"{text} LIMIT {limit}")
+        assert result.column("g").tolist() == [1, 3, 5, 7][:limit]
+        assert result.column("n").tolist() == [2, 2, 2, 1][:limit]
+        assert result.num_result_rows == len([1, 3, 5, 7][:limit])
+        if limit is not None:
+            ordered = ties.sql(f"{text} ORDER BY n DESC LIMIT {limit}")
+            assert ordered.column("g").tolist() == result.column("g").tolist()
+
+    def test_order_by_over_no_groups_is_empty(self, ties):
+        result = ties.sql(
+            "SELECT g, COUNT() AS n FROM t WHERE g > 9 GROUP BY g "
+            "ORDER BY n DESC LIMIT 3"
+        )
+        assert result.column("g").tolist() == []
+
+
 _ALL_AGGREGATES = (
     "SELECT g, COUNT() AS n, SUM(v) AS total, AVG(v) AS mean, "
     "MIN(v) AS lo, MAX(v) AS hi FROM t"

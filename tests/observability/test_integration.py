@@ -191,9 +191,14 @@ class TestCli:
 
         out = tmp_path / "trace.json"
         code = main(
-            ["trace",
-             "SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 10",
-             "--rows", "4096", "--out", str(out)]
+            [
+                "trace",
+                "SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 10",
+                "--rows",
+                "4096",
+                "--out",
+                str(out),
+            ]
         )
         assert code == 0
         assert out.exists()
