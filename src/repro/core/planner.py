@@ -220,12 +220,13 @@ class TopKPlanner:
                 root=shard_root,
                 shards=chosen_shards,
             )
-            span.set(
-                algorithm=best_name,
-                predicted_ms=best_time * 1e3,
-                candidates=len(ranking),
-                plan_fingerprint=plan.fingerprint(),
-            )
+            if span is not obs.NULL_SPAN:
+                span.set(
+                    algorithm=best_name,
+                    predicted_ms=best_time * 1e3,
+                    candidates=len(ranking),
+                    plan_fingerprint=plan.fingerprint(),
+                )
             registry = obs.active_metrics()
             if registry is not None:
                 registry.counter("planner.decisions", algorithm=best_name).inc()

@@ -99,7 +99,8 @@ def topk(
                 len(values), k, values.dtype, profile,
                 recall_target=recall_target,
             )
-            span.set(plan_fingerprint=plan.fingerprint())
+            if span is not obs.NULL_SPAN:
+                span.set(plan_fingerprint=plan.fingerprint())
             fallback = plan.root
         else:
             if algorithm not in list_algorithms():

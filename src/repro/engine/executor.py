@@ -178,7 +178,7 @@ class QueryExecutor:
                 launches=result.trace.num_launches,
                 simulated_ms=sim_ms,
             )
-            if result.plan is not None:
+            if result.plan is not None and span is not obs.NULL_SPAN:
                 span.set(plan_fingerprint=result.plan.fingerprint())
             registry = obs.active_metrics()
             if registry is not None:

@@ -134,8 +134,9 @@ class ResilientExecutor:
             k=k,
             requested_algorithm=algorithm,
             chain=",".join(plan.chain()),
-            plan_fingerprint=plan.fingerprint(),
         ) as span:
+            if span is not obs.NULL_SPAN:
+                span.set(plan_fingerprint=plan.fingerprint())
             try:
                 result, _ = walk(
                     plan, data, k, self._policy,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -31,13 +32,8 @@ from repro.engine.explain import QueryPlan, StrategyPlan
 from repro.errors import InvalidParameterError
 from repro.gpu.counters import ExecutionTrace
 from repro.gpu.device import DeviceSpec, get_device
-from repro.gpu.timing import trace_time
 from repro.plan import PlanNode, Stream, TopK
-from repro.streaming.window import (
-    DecayedTopK,
-    StreamChunk,
-    WindowTopK,
-)
+from repro.streaming.window import DecayedTopK, StreamChunk, TickShape, WindowTopK
 
 
 @dataclass(frozen=True)
@@ -50,11 +46,18 @@ class TickResult:
     values: np.ndarray
     #: Winner global row ids (the tie-breaking identity).
     gids: np.ndarray
-    trace: ExecutionTrace
+    #: The tick's kernels, shared with every tick of the same shape.
+    shape: TickShape
     simulated_ms: float
     mode: str
     #: False when the serving layer absorbed the chunk but shed the emit.
     emitted: bool = True
+
+    @cached_property
+    def trace(self) -> ExecutionTrace:
+        """The tick's simulated kernels, built on first read; the caller
+        owns it, so mutating it changes no other tick."""
+        return self.shape.trace()
 
 
 class Subscription:
@@ -187,17 +190,15 @@ class Subscription:
                 emitted=emit,
             ) as span:
                 self.maintainer.advance(chunk)
+                shape = self._tick_shape(emit)
                 if emit:
                     out_values, out_gids = self.maintainer.emit()
                 else:
                     out_values = np.empty(0, dtype=np.float64)
                     out_gids = np.empty(0, dtype=np.int64)
-                trace = self._tick_trace()
                 from repro.observability.instrument import record_trace
 
-                sim_ms = record_trace(trace, self.device)
-                if not sim_ms:
-                    sim_ms = trace_time(trace, self.device).total_ms
+                sim_ms = record_trace(shape.kernels, self.device) or shape.simulated_ms
                 span.set(simulated_ms=sim_ms, result_rows=len(out_gids))
                 registry = obs.active_metrics()
                 if registry is not None:
@@ -210,7 +211,7 @@ class Subscription:
             tick=tick_index,
             values=out_values,
             gids=out_gids,
-            trace=trace,
+            shape=shape,
             simulated_ms=sim_ms,
             mode=self.mode,
             emitted=emit,
@@ -225,10 +226,10 @@ class Subscription:
         chunk = next(self._source_chunks)
         return self.tick(chunk.values, chunk.gids, emit=emit)
 
-    def _tick_trace(self) -> ExecutionTrace:
+    def _tick_shape(self, emitted: bool) -> TickShape:
         if isinstance(self.maintainer, WindowTopK):
-            return self.maintainer.tick_trace()
-        return self.maintainer.tick_trace(self.chunk_rows)
+            return self.maintainer.tick_shape(emitted=emitted)
+        return self.maintainer.tick_shape(self.chunk_rows, emitted=emitted)
 
     def close(self) -> None:
         if not self.closed:
@@ -262,9 +263,7 @@ def explain_stream(
     exact) is offered.
     """
     device = device or get_device()
-    modes = ("incremental", "recompute") if window is not None else (
-        "incremental",
-    )
+    modes = ("incremental", "recompute") if window is not None else ("incremental",)
     strategies = []
     for mode in modes:
         subscription = Subscription(
@@ -280,7 +279,7 @@ def explain_stream(
         )
         maintainer = subscription.maintainer
         if isinstance(maintainer, WindowTopK):
-            trace = maintainer.tick_trace(live=maintainer.window_chunks)
+            shape = maintainer.tick_shape(live=maintainer.window_chunks)
             pipeline = (
                 [
                     "chunk summarize (per-shard bitonic top-k)",
@@ -290,7 +289,7 @@ def explain_stream(
                 else ["window recompute (one-shot bitonic top-k per tick)"]
             )
         else:
-            trace = maintainer.tick_trace(chunk_rows)
+            shape = maintainer.tick_shape(chunk_rows)
             pipeline = [
                 "chunk summarize (per-shard bitonic top-k)",
                 "decay + carried-set merge (float64 rescore)",
@@ -301,18 +300,13 @@ def explain_stream(
             StrategyPlan(
                 strategy=mode,
                 pipeline=tuple(pipeline),
-                simulated_ms=trace_time(trace, device).total_ms,
-                kernel_launches=trace.num_launches,
+                simulated_ms=shape.simulated_ms,
+                kernel_launches=shape.kernels.num_launches,
                 plan=plan,
             )
         )
     strategies.sort(key=lambda plan: plan.simulated_ms)
     horizon = window if window is not None else chunk_rows
-    clause = (
-        f"OVER WINDOW {window}" if window is not None else f"DECAY {decay}"
-    )
-    sql = (
-        f"SUBSCRIBE TOP {k} BY score FROM {source} "
-        f"EVERY {chunk_rows} {clause}"
-    )
+    clause = f"OVER WINDOW {window}" if window is not None else f"DECAY {decay}"
+    sql = f"SUBSCRIBE TOP {k} BY score FROM {source} EVERY {chunk_rows} {clause}"
     return QueryPlan(sql=sql, model_rows=horizon, strategies=tuple(strategies))

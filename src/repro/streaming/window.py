@@ -4,17 +4,19 @@ The maintainers here implement the engine's incremental operator contract
 (:class:`~repro.engine.operators.IncrementalOperator`) with ``advance``
 as *summary absorption* instead of buffering:
 
-* :class:`WindowTopK` keeps a ring of per-chunk **bucketed summaries** —
-  each arriving chunk is reduced to its own top-k candidates, the window
-  evicts whole expired chunks by dropping their summaries, and ``emit``
-  merges the live summaries.  The summary ring is exact: any true window
-  top-k row has fewer than k predecessors in the whole window, hence
-  fewer than k in its own chunk, so it survives its chunk's summary —
-  the delegate argument of Dr. Top-k applied per chunk.  Merging uses
-  the canonical total order (:func:`repro.sharding.merge.merge_topk`:
-  values descending, NaN last, ties to the lower global row id), so the
-  incremental answer is **bit-equal** to recomputing over the window's
-  raw rows every tick.
+* :class:`WindowTopK` keeps a ring of per-chunk **summaries**: each
+  arriving chunk is reduced to its own top-k candidates, whose key codes,
+  values and gids are written into the chunk's slot of three flat
+  ``window_chunks * k`` arrays.  The window evicts a whole expired chunk
+  by overwriting its slot, and ``emit`` is one canonical cut
+  (:func:`repro.algorithms.keys.canonical_topk`) over the live slots'
+  stored codes: nothing is concatenated or encoded again.  The ring is
+  exact: any true window top-k row has fewer than k predecessors in the
+  whole window, hence fewer than k in its own chunk, so it survives its
+  chunk's summary — the delegate argument of Dr. Top-k applied per
+  chunk.  The cut uses the canonical total order (values descending, NaN
+  last, ties to the lower global row id), so the incremental answer is
+  **bit-equal** to recomputing over the window's raw rows every tick.
 * :class:`DecayedTopK` maintains exponentially-decayed top-k: every live
   row's score at tick ``T`` is ``value * decay**(T - arrival_tick)``.
   Uniform decay preserves every pairwise score *ratio* across ticks, so
@@ -30,6 +32,15 @@ concurrently, and the per-shard summaries are merged per tick — the
 tick trace charges the critical path (one shard's kernels), mirroring
 the scatter-gather executor's accounting.
 
+A tick's simulated kernels depend only on the maintainer's fixed
+parameters and the tick's shape (mode, live chunks, whether it emitted),
+so each maintainer builds and prices every shape once
+(:class:`TickShape`) and every later tick of that shape reuses it.  A
+shed tick (absorbed, not emitted) is charged only for what ``advance``
+ran: the chunk summarize when incremental, nothing when recompute.  The
+decayed maintainer's next emitted merge reads every summary absorbed
+since its last emit, and is priced on that many candidates.
+
 Each maintainer prices its own crossover: construction consults the
 :class:`~repro.costmodel.streaming_model.StreamingModel` and falls back
 to recompute-per-tick when churn (chunk/window) is past the point where
@@ -39,11 +50,12 @@ summary maintenance stops paying (``mode="auto"``).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from repro.algorithms.keys import canonical_topk, encode
+from repro.algorithms import keys
 from repro.bitonic.kernels import build_trace
 from repro.bitonic.optimizations import FULL, OptimizationFlags
 from repro.costmodel.streaming_model import CANDIDATE_BYTES, StreamingModel
@@ -52,11 +64,17 @@ from repro.errors import InvalidParameterError
 from repro.gpu import faults
 from repro.gpu.counters import ExecutionTrace
 from repro.gpu.device import DeviceSpec, get_device
+from repro.gpu.timing import trace_time
 from repro.plan import network_k
 from repro.sharding.merge import merge_topk
 
 #: Maintenance modes a maintainer resolves ``"auto"`` to.
 MODES = ("incremental", "recompute")
+
+#: Distinct tick shapes a decayed maintainer keeps priced.  Its emitted
+#: shapes differ by the summaries absorbed since the last emit, which only
+#: shed ticks make more than one.
+_DECAY_SHAPES = 64
 
 
 @dataclass(frozen=True)
@@ -77,11 +95,34 @@ class StreamChunk:
         return len(self.values)
 
 
+@dataclass(frozen=True)
+class TickShape:
+    """One tick shape's kernels, built once and priced on first use.
+
+    ``kernels`` is shared by every tick of the shape: read it (as
+    :func:`~repro.observability.instrument.record_trace` does), never
+    mutate it.  :meth:`trace` hands out a copy the caller owns.
+    """
+
+    kernels: ExecutionTrace
+    device: DeviceSpec
+
+    @cached_property
+    def simulated_ms(self) -> float:
+        return trace_time(self.kernels, self.device).total_ms
+
+    def trace(self) -> ExecutionTrace:
+        """A fresh copy of the shape's trace."""
+        return ExecutionTrace(
+            kernels=[replace(kernel) for kernel in self.kernels.kernels],
+            notes=dict(self.kernels.notes),
+        )
+
+
 def _validate_mode(mode: str) -> None:
     if mode not in MODES and mode != "auto":
         raise InvalidParameterError(
-            f"unknown maintenance mode {mode!r}; "
-            f"available: {('auto', *MODES)}"
+            f"unknown maintenance mode {mode!r}; available: {('auto', *MODES)}"
         )
 
 
@@ -116,14 +157,47 @@ def _chunk_summary(
     partial_gids = []
     for shard in range(shards):
         lo, hi = bounds[shard], bounds[shard + 1]
-        values, gids = merge_topk(
-            chunk.values[lo:hi], chunk.gids[lo:hi], k
-        )
+        values, gids = merge_topk(chunk.values[lo:hi], chunk.gids[lo:hi], k)
         partial_values.append(values)
         partial_gids.append(gids)
-    return merge_topk(
-        np.concatenate(partial_values), np.concatenate(partial_gids), k
+    return merge_topk(np.concatenate(partial_values), np.concatenate(partial_gids), k)
+
+
+def _shape(maintainer, key, bound: int, build) -> TickShape:
+    """``maintainer``'s memoized tick shape ``key``, built by ``build()``
+    and noted with the maintainer's mode and shards.
+
+    Builds run with fault injection suspended: pricing a tick is not a
+    launch, so no fault point fires in it.  At most ``bound`` shapes are
+    kept; a shape past the bound is built for its tick alone.
+    """
+    shape = maintainer._shapes.get(key)
+    if shape is None:
+        with faults.suspended():
+            trace = build()
+        trace.notes["streaming.mode"] = maintainer.mode
+        trace.notes["streaming.shards"] = maintainer.shards
+        shape = TickShape(trace, maintainer.device)
+        if len(maintainer._shapes) < bound:
+            maintainer._shapes[key] = shape
+    return shape
+
+
+def _summarize_trace(maintainer, chunk_rows: int, candidates: int) -> ExecutionTrace:
+    """One shard's chunk summarize, then, when ``candidates`` is not 0, the
+    tick merge reading that many candidates."""
+    trace = build_trace(
+        max(1, chunk_rows // maintainer.shards),
+        network_k(maintainer.k),
+        CANDIDATE_BYTES,
+        maintainer.flags,
+        maintainer.device,
     )
+    if candidates:
+        merge = trace.launch("tick-merge")
+        merge.add_global_read(float(candidates) * CANDIDATE_BYTES)
+        merge.add_global_write(float(maintainer.k) * CANDIDATE_BYTES)
+    return trace
 
 
 class WindowTopK(IncrementalOperator):
@@ -131,11 +205,23 @@ class WindowTopK(IncrementalOperator):
 
     The window is ``window_chunks`` chunks long (windows are chunk
     aligned: evictions drop whole expired chunks).  ``advance`` absorbs
-    one chunk — summarize, append, let the ring evict — and ``emit``
-    merges the live summaries.  Under ``mode="recompute"`` the raw
-    chunks are retained instead and every ``emit`` re-selects over the
-    full window; ``mode="auto"`` picks whichever the cost model prices
-    cheaper at this (window, chunk, k).
+    one chunk: it summarizes the chunk and writes the summary's codes,
+    values and gids into ring slot ``tick % window_chunks``, over the
+    expired chunk's.  ``emit`` cuts the live slots to k once and gathers
+    the winners' values and gids.  A summary shorter than k leaves the
+    rest of its slot unused, and the cut skips unused positions.  Under
+    ``mode="recompute"`` the raw chunks are retained instead and every
+    ``emit`` re-selects over the full window; ``mode="auto"`` picks
+    whichever the cost model prices cheaper at this (window, chunk, k).
+
+    The ring's answer does not depend on the order of its slots while
+    gids are distinct.  When a gid repeats inside the window with values
+    of one code (-0.0 and +0.0, or NaNs of different payloads), the
+    answer may carry another copy's value bits than recompute's.  A
+    summary whose value or gid dtype differs from the ring's (the first
+    summary after ``open`` types it) is kept aside, and while one is live
+    ``emit`` concatenates the live summaries and merges them, so numpy
+    promotes mixed dtypes exactly as recompute does.
     """
 
     def __init__(
@@ -160,9 +246,7 @@ class WindowTopK(IncrementalOperator):
                 f"chunk_rows must be at least 1, got {chunk_rows}"
             )
         if shards < 1:
-            raise InvalidParameterError(
-                f"shards must be at least 1, got {shards}"
-            )
+            raise InvalidParameterError(f"shards must be at least 1, got {shards}")
         _validate_mode(mode)
         self.k = k
         self.window_chunks = window_chunks
@@ -174,22 +258,23 @@ class WindowTopK(IncrementalOperator):
             model = StreamingModel(self.device, chunk_rows, flags)
             mode = model.choose_mode(window_chunks * chunk_rows, chunk_rows, k)
         self.mode = mode
-        self._summaries: deque = deque(maxlen=window_chunks)
         self._raw: deque = deque(maxlen=window_chunks)
+        self._clear_ring()
+        self._shapes: dict = {}
         self.ticks = 0
 
     # -- the incremental contract ---------------------------------------
 
     def open(self) -> None:
         super().open()
-        self._summaries.clear()
+        self._clear_ring()
         self._raw.clear()
         self.ticks = 0
 
     def advance(self, chunk: StreamChunk) -> None:
         self._require_open("advance")
         if self.mode == "incremental":
-            self._summaries.append(_chunk_summary(chunk, self.k, self.shards))
+            self._absorb(self.ticks, chunk)
         else:
             self._raw.append(chunk)
         self.ticks += 1
@@ -200,18 +285,28 @@ class WindowTopK(IncrementalOperator):
         if self.ticks == 0:
             empty = np.empty(0, dtype=np.int64)
             return empty.astype(np.float64), empty
-        if self.mode == "incremental":
-            pool = self._summaries
-            values = np.concatenate([summary[0] for summary in pool])
-            gids = np.concatenate([summary[1] for summary in pool])
-        else:
+        if self.mode == "recompute":
             values = np.concatenate([chunk.values for chunk in self._raw])
             gids = np.concatenate([chunk.gids for chunk in self._raw])
-        return merge_topk(values, gids, k)
+            return merge_topk(values, gids, k)
+        if self._foreign:
+            return merge_topk(*self._live_summaries(), k)
+        # Slots fill in tick order from slot 0, so the live slots are a
+        # prefix of the ring until it wraps.
+        slots = min(self.ticks, self.window_chunks)
+        codes = self._codes[: slots * self.k]
+        gids = self._gids[: slots * self.k]
+        if self._short:
+            lengths = np.array(self._lengths[:slots])
+            live = np.flatnonzero(np.arange(self.k) < lengths[:, None])
+            order = live[keys.canonical_topk(codes[live], gids[live], k)]
+        else:
+            order = keys.canonical_topk(codes, gids, k)
+        return self._values[order], self._gids[order]
 
     def close(self) -> None:
         super().close()
-        self._summaries.clear()
+        self._clear_ring()
         self._raw.clear()
 
     def degrade_to_incremental(self) -> bool:
@@ -220,16 +315,68 @@ class WindowTopK(IncrementalOperator):
         The SLO ladder's rung 1 for streams: when projected tick time
         overruns the deadline, the cheap plan replaces the expensive one
         without losing the window — each retained raw chunk is summarized
-        into the ring, which is exact, so the next ``emit`` is still
+        into its ring slot, which is exact, so the next ``emit`` is still
         bit-equal.  Returns False when already incremental.
         """
         if self.mode == "incremental":
             return False
-        for chunk in self._raw:
-            self._summaries.append(_chunk_summary(chunk, self.k, self.shards))
+        first = self.ticks - len(self._raw)
+        for offset, chunk in enumerate(self._raw):
+            self._absorb(first + offset, chunk)
         self._raw.clear()
         self.mode = "incremental"
         return True
+
+    # -- the summary ring -------------------------------------------------
+
+    def _clear_ring(self) -> None:
+        # Typed and allocated by the first summary absorbed.
+        self._codes = self._values = self._gids = None
+        #: Rows each slot holds.  An unwritten slot counts as full: it lies
+        #: past the live prefix, which emit cuts.
+        self._lengths = [self.k] * self.window_chunks
+        #: Written slots holding fewer than k rows: while any is, emit
+        #: masks the unused positions.
+        self._short = 0
+        #: slot -> summary whose dtypes differ from the ring's.
+        self._foreign: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def _absorb(self, tick: int, chunk: StreamChunk) -> None:
+        """Summarize ``chunk``, advanced at ``tick``, into its ring slot."""
+        values, gids = _chunk_summary(chunk, self.k, self.shards)
+        if self._codes is None:
+            size = self.window_chunks * self.k
+            self._values = np.empty(size, dtype=values.dtype)
+            self._gids = np.empty(size, dtype=gids.dtype)
+            self._codes = np.empty(size, dtype=keys.encode(values[:0]).dtype)
+        slot = tick % self.window_chunks
+        count = len(values)
+        self._short += (count < self.k) - (self._lengths[slot] < self.k)
+        self._lengths[slot] = count
+        if values.dtype != self._values.dtype or gids.dtype != self._gids.dtype:
+            self._foreign[slot] = (values, gids)
+            return
+        self._foreign.pop(slot, None)
+        start = slot * self.k
+        self._values[start : start + count] = values
+        self._gids[start : start + count] = gids
+        self._codes[start : start + count] = keys.encode(values)
+
+    def _live_summaries(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live summaries' values and gids, concatenated oldest first."""
+        parts = []
+        for tick in range(max(0, self.ticks - self.window_chunks), self.ticks):
+            slot = tick % self.window_chunks
+            part = self._foreign.get(slot)
+            if part is None:
+                start = slot * self.k
+                stop = start + self._lengths[slot]
+                part = (self._values[start:stop], self._gids[start:stop])
+            parts.append(part)
+        return (
+            np.concatenate([values for values, _ in parts]),
+            np.concatenate([gids for _, gids in parts]),
+        )
 
     # -- accounting ------------------------------------------------------
 
@@ -238,43 +385,47 @@ class WindowTopK(IncrementalOperator):
         live = min(self.ticks, self.window_chunks)
         return live * self.chunk_rows
 
-    def tick_trace(self, live: int | None = None) -> ExecutionTrace:
+    def tick_shape(self, live: int | None = None, emitted: bool = True) -> TickShape:
         """The simulated kernels one tick of maintenance launches.
 
         Incremental: the per-shard chunk summarize (critical path — the
-        shards run concurrently, so one shard's kernels are charged) plus
-        the tick merge over the live candidates.  Recompute: the one-shot
-        selection over the whole live window.  ``live`` overrides the
-        live-chunk count (EXPLAIN prices the steady state, a maintainer
-        mid-warmup reports what it actually holds).
+        shards run concurrently, so one shard's kernels are charged) plus,
+        when the tick emitted, the tick merge over the live candidates.
+        Recompute: the one-shot selection over the whole live window when
+        the tick emitted, and nothing when it was shed.  ``live``
+        overrides the live-chunk count (EXPLAIN prices the steady state,
+        a maintainer mid-warmup reports what it actually holds).
+
+        Built and priced once per (mode, live, emitted): at most
+        ``2 * window_chunks + 2`` shapes.
         """
-        padded_k = network_k(self.k)
         if live is None:
             live = max(1, min(self.ticks, self.window_chunks))
-        with faults.suspended():
-            trace = ExecutionTrace()
+        if not emitted:
+            live = 0
+
+        def build() -> ExecutionTrace:
             if self.mode == "incremental":
-                shard_rows = max(1, self.chunk_rows // self.shards)
-                trace.extend(
-                    build_trace(
-                        shard_rows, padded_k, CANDIDATE_BYTES,
-                        self.flags, self.device,
-                    )
-                )
-                candidates = (live + self.shards) * self.k
-                merge = trace.launch("tick-merge")
-                merge.add_global_read(float(candidates) * CANDIDATE_BYTES)
-                merge.add_global_write(float(self.k) * CANDIDATE_BYTES)
-            else:
-                trace.extend(
-                    build_trace(
-                        max(1, live * self.chunk_rows), padded_k,
-                        CANDIDATE_BYTES, self.flags, self.device,
-                    )
-                )
-            trace.notes["streaming.mode"] = self.mode
-            trace.notes["streaming.shards"] = self.shards
-        return trace
+                candidates = (live + self.shards) * self.k if emitted else 0
+                return _summarize_trace(self, self.chunk_rows, candidates)
+            if not emitted:
+                return ExecutionTrace()
+            return build_trace(
+                max(1, live * self.chunk_rows),
+                network_k(self.k),
+                CANDIDATE_BYTES,
+                self.flags,
+                self.device,
+            )
+
+        bound = 2 * self.window_chunks + 2
+        return _shape(self, (self.mode, live, emitted), bound, build)
+
+    def tick_trace(
+        self, live: int | None = None, emitted: bool = True
+    ) -> ExecutionTrace:
+        """A copy of :meth:`tick_shape`'s trace."""
+        return self.tick_shape(live, emitted).trace()
 
 
 class DecayedTopK(IncrementalOperator):
@@ -301,13 +452,9 @@ class DecayedTopK(IncrementalOperator):
         if k < 1:
             raise InvalidParameterError(f"k must be at least 1, got {k}")
         if not 0.0 < decay <= 1.0:
-            raise InvalidParameterError(
-                f"decay must be in (0, 1], got {decay}"
-            )
+            raise InvalidParameterError(f"decay must be in (0, 1], got {decay}")
         if shards < 1:
-            raise InvalidParameterError(
-                f"shards must be at least 1, got {shards}"
-            )
+            raise InvalidParameterError(f"shards must be at least 1, got {shards}")
         _validate_mode(mode)
         if mode == "auto":
             # Decay has no window to recompute over a bounded set; the
@@ -319,7 +466,10 @@ class DecayedTopK(IncrementalOperator):
         self.flags = flags
         self.shards = shards
         self.mode = mode
+        self._shapes: dict = {}
         self.ticks = 0
+        #: Chunks absorbed since the last emit.
+        self._pending = 0
         self._values = np.empty(0, dtype=np.float64)
         self._arrivals = np.empty(0, dtype=np.int64)
         self._gids = np.empty(0, dtype=np.int64)
@@ -328,6 +478,7 @@ class DecayedTopK(IncrementalOperator):
     def open(self) -> None:
         super().open()
         self.ticks = 0
+        self._pending = 0
         self._values = np.empty(0, dtype=np.float64)
         self._arrivals = np.empty(0, dtype=np.int64)
         self._gids = np.empty(0, dtype=np.int64)
@@ -341,15 +492,11 @@ class DecayedTopK(IncrementalOperator):
             # raw-value order *is* the score order: the chunk summary is
             # an exact candidate subset.
             values, gids = _chunk_summary(chunk, self.k, self.shards)
-            self._values = np.concatenate(
-                [self._values, values.astype(np.float64)]
-            )
+            self._values = np.concatenate([self._values, values.astype(np.float64)])
             self._arrivals = np.concatenate(
                 [self._arrivals, np.full(len(gids), tick, dtype=np.int64)]
             )
-            self._gids = np.concatenate(
-                [self._gids, gids.astype(np.int64)]
-            )
+            self._gids = np.concatenate([self._gids, gids.astype(np.int64)])
         else:
             self._history.append(
                 (
@@ -359,6 +506,7 @@ class DecayedTopK(IncrementalOperator):
                 )
             )
         self.ticks += 1
+        self._pending += 1
 
     @staticmethod
     def _scores(
@@ -388,7 +536,7 @@ class DecayedTopK(IncrementalOperator):
             )
             gids = np.concatenate([item[1] for item in self._history])
         scores = self._scores(values, arrivals, tick, self.decay)
-        order = canonical_topk(encode(scores), gids, max(k, self.k))
+        order = keys.canonical_topk(keys.encode(scores), gids, max(k, self.k))
         if self.mode == "incremental":
             # The maintainer's k winners (base values + arrivals) are the
             # next tick's carried candidates — the ratio argument makes
@@ -396,6 +544,7 @@ class DecayedTopK(IncrementalOperator):
             self._values = values[order]
             self._arrivals = arrivals[order]
             self._gids = gids[order]
+        self._pending = 0
         order = order[:k]
         return scores[order], gids[order]
 
@@ -406,22 +555,25 @@ class DecayedTopK(IncrementalOperator):
         self._gids = np.empty(0, dtype=np.int64)
         self._history = []
 
-    def tick_trace(self, chunk_rows: int) -> ExecutionTrace:
-        """One tick's simulated kernels (summarize + carried-set merge)."""
-        padded_k = network_k(self.k)
-        with faults.suspended():
-            trace = ExecutionTrace()
-            shard_rows = max(1, chunk_rows // self.shards)
-            trace.extend(
-                build_trace(
-                    shard_rows, padded_k, CANDIDATE_BYTES,
-                    self.flags, self.device,
-                )
-            )
-            merge = trace.launch("tick-merge")
-            candidates = (1 + self.shards) * self.k
-            merge.add_global_read(float(candidates) * CANDIDATE_BYTES)
-            merge.add_global_write(float(self.k) * CANDIDATE_BYTES)
-            trace.notes["streaming.mode"] = self.mode
-            trace.notes["streaming.shards"] = self.shards
-        return trace
+    def tick_shape(self, chunk_rows: int, emitted: bool = True) -> TickShape:
+        """One tick's simulated kernels (summarize + carried-set merge).
+
+        The merge reads the carried k winners plus every shard's summary
+        of each chunk absorbed since the last emit (at least one, so a
+        fresh maintainer prices the steady state).  A shed tick is charged
+        only for its summarize, and nothing under ``mode="recompute"``,
+        whose ``advance`` only keeps the chunk.
+        """
+        pending = max(1, self._pending) if emitted else 0
+
+        def build() -> ExecutionTrace:
+            if self.mode == "recompute" and not emitted:
+                return ExecutionTrace()
+            candidates = (1 + pending * self.shards) * self.k if emitted else 0
+            return _summarize_trace(self, chunk_rows, candidates)
+
+        return _shape(self, (chunk_rows, pending), _DECAY_SHAPES, build)
+
+    def tick_trace(self, chunk_rows: int, emitted: bool = True) -> ExecutionTrace:
+        """A copy of :meth:`tick_shape`'s trace."""
+        return self.tick_shape(chunk_rows, emitted).trace()

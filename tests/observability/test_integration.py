@@ -149,6 +149,40 @@ class TestDisabledOverhead:
         result = topk(data, 16)
         assert result.values is not None
 
+    def test_plan_fingerprints_only_for_a_live_span(self, monkeypatch):
+        from repro.engine.session import Session
+        from repro.engine.twitter import generate_tweets
+        from repro.plan.nodes import PlanNode
+        from repro.resilience.executor import ResilientExecutor
+
+        computed = []
+        fingerprint = PlanNode.fingerprint
+
+        def counting(node):
+            computed.append(node.kind)
+            return fingerprint(node)
+
+        monkeypatch.setattr(PlanNode, "fingerprint", counting)
+        data = uniform_floats(1 << 12, seed=9)
+        sql = "SELECT id FROM tweets ORDER BY retweet_count DESC LIMIT 10"
+        session = Session()
+        session.register(generate_tweets(1 << 12, seed=1))
+        session.sql(sql)
+        topk(data, 16, algorithm="auto")
+        ResilientExecutor().run(data, 16)
+        assert computed == []
+
+        traced = Session(trace=True)
+        traced.register(generate_tweets(1 << 12, seed=1))
+        traced.sql(sql)
+        observation, _ = _observed_topk(data, 16, algorithm="auto")
+        with obs.observe() as resilient:
+            ResilientExecutor().run(data, 16)
+        spans = [*traced.tracer.walk(), *observation.tracer.walk()]
+        spans += resilient.tracer.walk()
+        carrying = {span.name for span in spans if "plan_fingerprint" in span.attributes}
+        assert {"query", "plan", "topk", "resilient-topk"} <= carrying
+
 
 class TestCli:
     def test_trace_command_chrome(self, tmp_path, capsys):
